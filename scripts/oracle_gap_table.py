@@ -6,7 +6,8 @@ oracle enumerates all 2^16 Boolean rules at n = 4, keeps the marginally
 monotone ones meeting the target, and reports the minimum noise sensitivity
 next to the best feasible vote-count cutoff. The gap column measures how far
 the cutoff family is from optimal at this small n (the optimality statement
-is a large-n limit; mid-grid gaps up to ~0.125 are real at n = 4).
+is a large-n limit; mid-grid gaps up to ~0.125 are real at n = 4). The three
+grids take the CLI's grid syntax: start:stop:step, a comma list, or one value.
 
 Example:
   python scripts/oracle_gap_table.py --deltas 0.1,0.25 --biases 0,0.5
@@ -14,8 +15,7 @@ Example:
 
 import argparse
 
-import numpy as np
-
+from noisemech.cli import UsageError, parse_grid
 from noisemech.mechanism import MechanismParams
 from noisemech.optimize import ns_min_bruteforce
 
@@ -29,14 +29,15 @@ def main() -> int:
     ap.add_argument("--setting", default="noisy-report",
                     choices=["noisy-report", "imperfect-knowledge"])
     args = ap.parse_args()
-
-    start, stop, step = (float(x) for x in args.r_grid.split(":"))
-    r_values = list(np.arange(start, stop + 1e-12, step))
+    try:
+        deltas, biases, r_values = (parse_grid(g) for g in (args.deltas, args.biases, args.r_grid))
+    except UsageError as exc:
+        ap.error(str(exc))
 
     print("delta,b,r,feasible_count,min_ns,best_ltf_ns,best_ltf_threshold,ltf_gap")
     worst = 0.0
-    for delta in (float(x) for x in args.deltas.split(",")):
-        for b in (float(x) for x in args.biases.split(",")):
+    for delta in deltas:
+        for b in biases:
             params = MechanismParams(args.n, delta, b=b, setting=args.setting)
             for r in r_values:
                 res = ns_min_bruteforce(params, r, "all-boolean")

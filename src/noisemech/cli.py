@@ -4,17 +4,12 @@ Subcommands: analyze, transfers, optimize, frontier, majority-curve, verify,
 privacy. Output is plain text or CSV with 12 significant digits; identical
 invocations produce byte-identical files. Exit codes: 0 success, 1
 infeasibility or failed verification, 2 usage error.
-
-NOISEMECH_THREADS is accepted as an optional parallelism hint (default: all
-cores); the current evaluation is deterministic and single-process, so the
-hint is validated and recorded but changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -24,20 +19,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gaussian, hypercube, mechanism, noise, optimize
+from .optimize import _fmt
 
 _GRID_TOL = 1e-12
+MAX_GRID_POINTS = 10**6
 
 
 class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def parse_grid(text: str) -> list[float]:
-    """start:stop:step (endpoints inclusive within 1e-12), a comma list, or one value."""
+    """start:stop:step (endpoints inclusive within 1e-12), a comma list, or one value.
+
+    Values must be finite, and a range may hold at most MAX_GRID_POINTS points.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -46,17 +42,25 @@ def parse_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"grid endpoints must be reals, got {text!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"grid start, stop and step must be finite, got {text!r}")
         if step <= 0 or stop < start:
             raise UsageError(f"grid needs stop >= start and step > 0, got {text!r}")
-        count = int(math.floor((stop - start) / step + _GRID_TOL)) + 1
+        span = (stop - start) / step + _GRID_TOL
+        if not span < MAX_GRID_POINTS:
+            raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        count = int(math.floor(span)) + 1
         values = [start + k * step for k in range(count)]
         if abs(values[-1] - stop) <= _GRID_TOL:
             values[-1] = stop  # endpoint inclusive, snapped against 1-ulp drift
         return values
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise UsageError(f"could not parse grid {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"grid values must be finite, got {text!r}")
+    return values
 
 
 @dataclass
@@ -81,27 +85,26 @@ class RunConfig:
     mc_samples: Optional[int] = None
     seed: int = 0
     eps: Optional[float] = None
-    threads: Optional[int] = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="noisemech", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def econ(p, need_delta=True):
-        p.add_argument("--delta", type=float, required=need_delta)
+    def econ(p, delta=None):
+        p.add_argument("--delta", type=float, required=delta is None, default=delta)
         p.add_argument("--b", type=float, default=0.0)
         p.add_argument("--setting", choices=mechanism.SETTINGS, default="noisy-report")
 
     p = sub.add_parser("analyze", help="statistics of one allocation rule")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", dest="spec_path", required=True)
     econ(p)
     p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("transfers", help="optimal transfers and constraint report")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", dest="spec_path", required=True)
     econ(p)
     p.add_argument("--report-out", default=None)
     p.add_argument("--out", default=None)
@@ -120,20 +123,18 @@ def _build_parser() -> argparse.ArgumentParser:
     econ(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--regime", choices=["finite", "asymptotic"], default="asymptotic")
-    p.add_argument("--r-grid", required=True)
+    p.add_argument("--r-grid", type=parse_grid, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("majority-curve", help="majority rule curve CSV")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta-grid", required=True)
+    p.add_argument("--delta-grid", type=parse_grid, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["oracle-n2", "oracle-n4", "identities"])
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--setting", choices=mechanism.SETTINGS, default="noisy-report")
-    p.add_argument("--r-grid", default="0.05:0.35:0.05")
+    econ(p, delta=0.1)
+    p.add_argument("--r-grid", type=parse_grid, default="0.05:0.35:0.05")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("privacy", help="convert between eps and delta")
@@ -146,37 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: Sequence[str]) -> RunConfig:
     if not argv:
         raise UsageError("a command is required; see --help")
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-
-    threads_env = os.environ.get("NOISEMECH_THREADS")
-    if threads_env is not None:
-        try:
-            cfg.threads = int(threads_env)
-            if cfg.threads < 1:
-                raise ValueError
-        except ValueError:
-            raise UsageError(f"NOISEMECH_THREADS must be a positive integer, got {threads_env!r}") from None
-
-    for name in ("delta", "b", "n", "setting", "out", "r", "regime", "task",
-                  "scope", "suite", "seed", "eps"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "spec"):
-        cfg.spec_path = ns.spec
-    if hasattr(ns, "report_out"):
-        cfg.report_out = ns.report_out
-    if hasattr(ns, "mc_samples"):
-        cfg.mc_samples = ns.mc_samples
-    if hasattr(ns, "r_grid") and ns.r_grid is not None:
-        cfg.r_grid = parse_grid(ns.r_grid)
-    if hasattr(ns, "delta_grid"):
-        cfg.delta_grid = parse_grid(ns.delta_grid)
-
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
     if cfg.command == "privacy":
-        if cfg.eps is not None and cfg.eps <= 0:
-            raise UsageError("eps must be positive")
+        if cfg.eps is not None and not 0.0 < cfg.eps < math.inf:
+            raise UsageError("eps must be positive and finite")
         if cfg.delta is not None and not 0.0 < cfg.delta < 0.5:
             raise UsageError("delta must be in (0, 0.5)")
         return cfg
@@ -208,12 +182,8 @@ def _emit(text: str, path: Optional[str]) -> None:
         Path(path).write_text(text)
 
 
-def _load_function(path: str) -> hypercube.HypercubeFunction:
-    return hypercube.build_function(Path(path).read_text())
-
-
 def _cmd_analyze(cfg: RunConfig) -> int:
-    f = _load_function(cfg.spec_path)
+    f = hypercube.build_function(Path(cfg.spec_path).read_text())
     params = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, cfg.setting)
     alt = "imperfect-knowledge" if cfg.setting == "noisy-report" else "noisy-report"
     params_alt = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, alt)
@@ -245,23 +215,24 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     if f.is_boolean:
         exact_ok = isinstance(f, hypercube.DenseFunction) or f.n <= noise.MAX_EXACT_COUNT_N
         if exact_ok:
-            ns_value = noise.sensitivity_exact(f, cfg.delta)
-            lines.append(f"stability = {_fmt(noise.stability_exact(f, cfg.delta))}")
+            if isinstance(f, hypercube.DenseFunction):
+                stab, ns_value = noise.stability_exact(f, cfg.delta), noise.sensitivity_exact(f, cfg.delta)
+            else:  # one joint-law build serves both lines
+                law = noise.joint_count_distribution(f.n, cfg.delta)
+                stab, ns_value = law.stability(f.g), law.sensitivity(f.g)
+            lines.append(f"stability = {_fmt(stab)}")
             lines.append(f"ns_exact = {_fmt(ns_value)}")
         else:
             sys.stderr.write(
                 f"warning: n = {f.n} exceeds the exact cutoff {noise.MAX_EXACT_COUNT_N}; "
                 "falling back to Monte Carlo\n"
             )
-            samples = cfg.mc_samples or 10**6
-            est = noise.sensitivity_monte_carlo(f, cfg.delta, samples, cfg.seed)
-            ns_value = est.estimate
+        if cfg.mc_samples is not None or not exact_ok:
+            est = noise.sensitivity_monte_carlo(f, cfg.delta, cfg.mc_samples or 10**6, cfg.seed)
             lines.append(f"ns_monte_carlo = {_fmt(est.estimate)}")
             lines.append(f"ns_stderr = {_fmt(est.stderr)}")
-        if cfg.mc_samples is not None and exact_ok:
-            est = noise.sensitivity_monte_carlo(f, cfg.delta, cfg.mc_samples, cfg.seed)
-            lines.append(f"ns_monte_carlo = {_fmt(est.estimate)}")
-            lines.append(f"ns_stderr = {_fmt(est.stderr)}")
+            if not exact_ok:
+                ns_value = est.estimate
         lines.append(
             "surplus_distortion_bound = "
             + _fmt(mechanism.surplus_distortion_bound(f, params, ns=ns_value))
@@ -271,7 +242,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _cmd_transfers(cfg: RunConfig) -> int:
-    f = _load_function(cfg.spec_path)
+    f = hypercube.build_function(Path(cfg.spec_path).read_text())
     params = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, cfg.setting)
     schedule = mechanism.optimal_interim_transfers(f, params)
     lines = [f"setting = {params.setting}"]
@@ -281,9 +252,7 @@ def _cmd_transfers(cfg: RunConfig) -> int:
             f"t_bar(+1) = {_fmt(schedule.interim.v_plus[i])}"
         )
     lines.append(f"expected_total_transfer = {_fmt(schedule.expected_total())}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lines.append(f"revenue_formula = {_fmt(mechanism.revenue(f, params))}")
+    lines.append(f"revenue_formula = {_fmt(mechanism.revenue(f, params))}")
     if schedule.anonymous_expost is not None:
         lines.append("anonymous_expost = " + ",".join(_fmt(v) for v in schedule.anonymous_expost))
     # interim families only: the min-norm ex-post vector reproduces the
@@ -299,39 +268,35 @@ def _cmd_transfers(cfg: RunConfig) -> int:
 def _cmd_optimize(cfg: RunConfig) -> int:
     params = mechanism.MechanismParams(cfg.n, cfg.delta, cfg.b, cfg.setting)
     lines = []
-    try:
-        if cfg.task == "revenue-max":
-            res = optimize.revenue_max_threshold(params)
-            lines.append("tau_closed_form = " + ("undefined" if res.tau_closed_form is None else _fmt(res.tau_closed_form)))
-            lines.append(f"tau_pointwise = {_fmt(res.tau_pointwise)}")
-            lines.append(f"finite_opt_nu = {res.finite_opt_nu}")
-            lines.append(f"finite_opt_revenue = {_fmt(res.finite_opt_revenue)}")
-            lines.append(f"finite_opt_revenue_normalized = {_fmt(res.finite_opt_revenue_normalized)}")
-            if res.note:
-                lines.append(f"note = {res.note}")
-        elif cfg.task in ("surplus-max", "min-bias"):
-            fn = optimize.surplus_max_threshold if cfg.task == "surplus-max" else optimize.min_bias_threshold
-            point = fn(params, cfg.r, cfg.regime)
-            for name in ("regime", "n", "delta", "b", "r", "threshold", "ns",
-                          "surplus_per_capita", "revenue_normalized", "mean"):
-                value = getattr(point, name)
-                lines.append(f"{name} = {value if isinstance(value, str) else _fmt(value)}")
-        else:
-            res = optimize.ns_min_bruteforce(params, cfg.r, cfg.scope)
-            lines.append(f"feasible_count = {res.feasible_count}")
-            if res.feasible_count == 0:
-                lines.append("infeasible = true")
-                _emit("\n".join(lines) + "\n", cfg.out)
-                return 1
-            lines.append(f"min_ns = {_fmt(res.min_ns)}")
-            lines.append(f"argmin_count = {len(res.argmin_functions)}")
-            lines.append("argmin_functions = " + ",".join(str(i) for i in res.argmin_functions[:16]))
-            lines.append(f"best_ltf_ns = {_fmt(res.best_ltf_ns)}")
-            lines.append(f"best_ltf_threshold = {res.best_ltf_threshold}")
-            lines.append(f"ltf_gap = {_fmt(res.ltf_gap)}")
-    except optimize.InfeasibleTargetError as exc:
-        sys.stderr.write(f"infeasible: {exc}\n")
-        return 1
+    if cfg.task == "revenue-max":
+        res = optimize.revenue_max_threshold(params)
+        lines.append("tau_closed_form = " + ("undefined" if res.tau_closed_form is None else _fmt(res.tau_closed_form)))
+        lines.append(f"tau_pointwise = {_fmt(res.tau_pointwise)}")
+        lines.append(f"finite_opt_nu = {res.finite_opt_nu}")
+        lines.append(f"finite_opt_revenue = {_fmt(res.finite_opt_revenue)}")
+        lines.append(f"finite_opt_revenue_normalized = {_fmt(res.finite_opt_revenue_normalized)}")
+        if res.note:
+            lines.append(f"note = {res.note}")
+    elif cfg.task in ("surplus-max", "min-bias"):
+        fn = optimize.surplus_max_threshold if cfg.task == "surplus-max" else optimize.min_bias_threshold
+        point = fn(params, cfg.r, cfg.regime)
+        for name in ("regime", "n", "delta", "b", "r", "threshold", "ns",
+                      "surplus_per_capita", "revenue_normalized", "mean"):
+            value = getattr(point, name)
+            lines.append(f"{name} = {value if isinstance(value, str) else _fmt(value)}")
+    else:
+        res = optimize.ns_min_bruteforce(params, cfg.r, cfg.scope)
+        lines.append(f"feasible_count = {res.feasible_count}")
+        if res.feasible_count == 0:
+            lines.append("infeasible = true")
+            _emit("\n".join(lines) + "\n", cfg.out)
+            return 1
+        lines.append(f"min_ns = {_fmt(res.min_ns)}")
+        lines.append(f"argmin_count = {len(res.argmin_functions)}")
+        lines.append("argmin_functions = " + ",".join(str(i) for i in res.argmin_functions[:16]))
+        lines.append(f"best_ltf_ns = {_fmt(res.best_ltf_ns)}")
+        lines.append(f"best_ltf_threshold = {res.best_ltf_threshold}")
+        lines.append(f"ltf_gap = {_fmt(res.ltf_gap)}")
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 

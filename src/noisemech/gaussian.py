@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .noise import sensitivity_from_stability
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
 
@@ -140,8 +142,7 @@ def ltf_ns_asymptotic(r: float, delta: float) -> float:
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     t = phi_inv_plus(r)
-    ns = 2.0 * (norm_cdf(-t) - binormal_cdf(-t, -t, 1.0 - 2.0 * delta))
-    return min(1.0, max(0.0, ns))
+    return sensitivity_from_stability(norm_cdf(-t), binormal_cdf(-t, -t, 1.0 - 2.0 * delta))
 
 
 def alpha_limit(r: float) -> float:

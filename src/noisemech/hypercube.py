@@ -83,8 +83,19 @@ def walsh(values: np.ndarray, inverse: bool = False) -> np.ndarray:
     return out.reshape(*lead, size)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def half_split(values: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truth-table entries at x_i = -1 and at x_i = +1, paired by context.
+
+    Works on any dtype and on index arrays alike; the two halves are views.
+    """
+    v = values.reshape(values.size >> (i + 1), 2, 1 << i)
+    return v[:, 0, :], v[:, 1, :]
+
+
+def _freeze(a: np.ndarray, what: str) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite reals")
     a.setflags(write=False)
     return a
 
@@ -99,7 +110,7 @@ class DenseFunction:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DENSE_N:
             raise ValueError(f"dense dimension must be in [1, {MAX_DENSE_N}], got {self.n}")
-        vals = _freeze(self.values)
+        vals = _freeze(self.values, "dense values")
         if vals.ndim != 1 or vals.size != 1 << self.n:
             raise ValueError(f"values must have length 2^{self.n}")
         object.__setattr__(self, "values", vals)
@@ -117,12 +128,7 @@ class DenseFunction:
 
     def degree1(self) -> np.ndarray:
         """E[f(x) x_i] for each coordinate i."""
-        out = np.empty(self.n)
-        size = 1 << self.n
-        for i in range(self.n):
-            v = self.values.reshape(size >> (i + 1), 2, 1 << i)
-            out[i] = (v[:, 1, :].sum() - v[:, 0, :].sum()) / size
-        return out
+        return _degree1_sums(self.values) / self.values.size
 
     def mean_nu(self) -> float:
         """E[f(x) sum_i x_i]."""
@@ -140,13 +146,10 @@ class FourierSpectrum:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DENSE_N:
             raise ValueError(f"dimension must be in [1, {MAX_DENSE_N}], got {self.n}")
-        c = _freeze(self.coeffs)
+        c = _freeze(self.coeffs, "Fourier coefficients")
         if c.ndim != 1 or c.size != 1 << self.n:
             raise ValueError(f"coeffs must have length 2^{self.n}")
         object.__setattr__(self, "coeffs", c)
-
-    def mean(self) -> float:
-        return float(self.coeffs[0])
 
     def weight_by_degree(self) -> np.ndarray:
         """Total squared coefficient mass at each degree 0..n."""
@@ -168,7 +171,7 @@ class AnonymousFunction:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_ANONYMOUS_N:
             raise ValueError(f"anonymous dimension must be in [1, {MAX_ANONYMOUS_N}], got {self.n}")
-        g = _freeze(self.g)
+        g = _freeze(self.g, "anonymous values")
         if g.ndim != 1 or g.size != self.n + 1:
             raise ValueError(f"g must have length n+1 = {self.n + 1}")
         if (g < 0.0).any() or (g > 1.0).any():
@@ -222,27 +225,20 @@ def influence(f: DenseFunction, i: int) -> float:
     """
     if not 0 <= i < f.n:
         raise ValueError(f"coordinate must be in [0, {f.n}), got {i}")
-    c = fourier_transform(f).coeffs
-    mask = (np.arange(c.size) >> i) & 1
-    return float(np.dot(mask, c**2))
+    return float(influences(f)[i])
 
 
 def influences(f: DenseFunction) -> np.ndarray:
     """All n coordinate influences in one transform."""
     c2 = fourier_transform(f).coeffs ** 2
-    idx = np.arange(c2.size)
-    return np.array([c2[(idx >> i) & 1 == 1].sum() for i in range(f.n)])
+    return np.array([half_split(c2, i)[1].sum() for i in range(f.n)])
 
 
-def _dense_degree1_exact(f: DenseFunction) -> np.ndarray:
-    """2^n * E[f x_i] as exact integers (Boolean tables only)."""
-    v = f.values.astype(np.int64)
-    size = v.size
-    out = np.empty(f.n, dtype=np.int64)
-    for i in range(f.n):
-        w = v.reshape(size >> (i + 1), 2, 1 << i)
-        out[i] = w[:, 1, :].sum() - w[:, 0, :].sum()
-    return out
+def _degree1_sums(values: np.ndarray) -> np.ndarray:
+    """2^n E[f x_i] per coordinate, in the dtype of `values` (exact for int64)."""
+    n = values.size.bit_length() - 1
+    return np.array([hi.sum() - lo.sum() for lo, hi in (half_split(values, i) for i in range(n))],
+                    dtype=values.dtype)
 
 
 def monotonicity_check(f: HypercubeFunction, kind: str) -> bool:
@@ -269,18 +265,11 @@ def monotonicity_check(f: HypercubeFunction, kind: str) -> bool:
         return f.degree1() >= -MONOTONE_TOL
 
     exact = f.is_boolean
+    v = f.values.astype(np.int64) if exact else f.values
+    slack = 0 if exact else -MONOTONE_TOL
     if kind == "monotone":
-        v = f.values.astype(np.int64) if exact else f.values
-        size = v.size
-        for i in range(f.n):
-            w = v.reshape(size >> (i + 1), 2, 1 << i)
-            diff = w[:, 1, :] - w[:, 0, :]
-            if diff.min() < (0 if exact else -MONOTONE_TOL):
-                return False
-        return True
-    if exact:
-        return bool((_dense_degree1_exact(f) >= 0).all())
-    return bool((f.degree1() >= -MONOTONE_TOL).all())
+        return all((hi - lo).min() >= slack for lo, hi in (half_split(v, i) for i in range(f.n)))
+    return bool((_degree1_sums(v) / v.size >= slack).all())
 
 
 def threshold_function(n: int, theta: float) -> AnonymousFunction:
@@ -300,6 +289,7 @@ def build_function(spec: str) -> HypercubeFunction:
     Lines of key=value pairs; '#' starts a comment, whitespace is ignored.
     kind=dense requires values=<2^n comma-separated reals>; kind=anonymous
     requires g=<n+1 reals in [0,1]>; kind=threshold requires theta=<real>.
+    NaN and infinite values are rejected.
     """
     fields: dict[str, str] = {}
     for raw in spec.splitlines():
@@ -342,4 +332,6 @@ def build_function(spec: str) -> HypercubeFunction:
         theta = float(fields["theta"])
     except ValueError:
         raise ValueError(f"theta must be a real, got {fields['theta']!r}") from None
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {fields['theta']!r}")
     return threshold_function(n, theta)

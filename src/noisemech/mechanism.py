@@ -35,6 +35,7 @@ from .hypercube import (
     HypercubeFunction,
     binomial_weights,
     fourier_transform,
+    half_split,
     monotonicity_check,
     popcounts,
 )
@@ -70,12 +71,21 @@ class MechanismParams:
         return 1.0 - 2.0 * self.delta
 
     @property
-    def mean_coef(self) -> float:
-        """Coefficient on E[f] in the revenue formula."""
-        c = (self.b - 1.0) / 2.0
+    def value_coefs(self) -> tuple[float, float]:
+        """Value weights ((b-1)/2, (b+1)/2) of the low and high type.
+
+        Under imperfect knowledge an agent's signal is wrong with probability
+        delta, so each weight moves delta toward the other.
+        """
+        lo, hi = (self.b - 1.0) / 2.0, (self.b + 1.0) / 2.0
         if self.setting == "imperfect-knowledge":
-            c += self.delta
-        return c
+            return lo + self.delta, hi - self.delta
+        return lo, hi
+
+    @property
+    def mean_coef(self) -> float:
+        """Coefficient on E[f] in the revenue formula: the low type's value weight."""
+        return self.value_coefs[0]
 
 
 def _stats(f: HypercubeFunction, params: MechanismParams):
@@ -109,10 +119,6 @@ class InterimProfile:
 
     def __len__(self) -> int:
         return self.v_minus.size
-
-    @property
-    def gap(self) -> np.ndarray:
-        return self.v_plus - self.v_minus
 
 
 def interim_marginals(f: HypercubeFunction, params: MechanismParams) -> InterimProfile:
@@ -244,13 +250,14 @@ def optimal_interim_pair(f_minus, f_plus, params: MechanismParams):
     extreme point, low-type IC with low-type IIR, collects strictly less
     whenever delta < 1/2).
     """
-    b, d = params.b, params.delta
+    d = params.delta
+    lo, hi = params.value_coefs
     if params.setting == "noisy-report":
-        tm = -d * f_plus + ((b - 1.0) / 2.0 + d) * f_minus
-        tp = ((b + 1.0) / 2.0 - d) * f_plus - (1.0 - d) * f_minus
+        tm = -d * f_plus + (lo + d) * f_minus
+        tp = (hi - d) * f_plus - (1.0 - d) * f_minus
     else:
-        tm = ((b - 1.0) / 2.0 + d) * f_minus
-        tp = ((b + 1.0) / 2.0 - d) * f_plus - (1.0 - 2.0 * d) * f_minus
+        tm = lo * f_minus
+        tp = hi * f_plus - (1.0 - 2.0 * d) * f_minus
     return tm, tp
 
 
@@ -313,9 +320,7 @@ def _expost_context_values(f: HypercubeFunction, t: np.ndarray, agent: int):
     if isinstance(f, AnonymousFunction):
         m = np.arange(n)  # count among the other agents
         return f.g[m + 1], f.g[m], t[m + 1], t[m]
-    idx = np.arange(1 << n)
-    low = idx[(idx >> agent) & 1 == 0]
-    high = low | (1 << agent)
+    low, high = (half.ravel() for half in half_split(np.arange(1 << n), agent))
     pc = popcounts(n)
     return f.values[high], f.values[low], t[pc[high]], t[pc[low]]
 
@@ -347,10 +352,8 @@ def check_constraints(
         raise ValueError("ex-post families are defined in the noisy-report setting only")
 
     prof = interim_marginals(f, params)
-    b, d = params.b, params.delta
-    imperfect = params.setting == "imperfect-knowledge"
-    hi_coef = (b + 1.0) / 2.0 - (d if imperfect else 0.0)
-    lo_coef = (b - 1.0) / 2.0 + (d if imperfect else 0.0)
+    lo_coef, hi_coef = params.value_coefs
+    d = params.delta
 
     rows: list[ConstraintRow] = []
     for i in range(params.n):
@@ -360,36 +363,26 @@ def check_constraints(
             if fam == "bn-ic":
                 rows.append(ConstraintRow(i, "bn-ic-high", hi_coef * (fp - fm), tp - tm))
                 rows.append(ConstraintRow(i, "bn-ic-low", tp - tm, lo_coef * (fp - fm)))
+            elif fam == "iir" and params.setting == "imperfect-knowledge":
+                rows.append(ConstraintRow(i, "iir-high", hi_coef * fp, tp))
+                rows.append(ConstraintRow(i, "iir-low", lo_coef * fm, tm))
             elif fam == "iir":
-                if imperfect:
-                    rows.append(ConstraintRow(i, "iir-high", hi_coef * fp, tp))
-                    rows.append(ConstraintRow(i, "iir-low", lo_coef * fm, tm))
-                else:
-                    rows.append(ConstraintRow(
-                        i, "iir-high",
-                        ((b + 1.0) / 2.0) * ((1.0 - d) * fp + d * fm),
-                        (1.0 - d) * tp + d * tm,
-                    ))
-                    rows.append(ConstraintRow(
-                        i, "iir-low",
-                        ((b - 1.0) / 2.0) * (d * fp + (1.0 - d) * fm),
-                        d * tp + (1.0 - d) * tm,
-                    ))
+                rows.append(ConstraintRow(i, "iir-high", hi_coef * ((1.0 - d) * fp + d * fm),
+                                          (1.0 - d) * tp + d * tm))
+                rows.append(ConstraintRow(i, "iir-low", lo_coef * (d * fp + (1.0 - d) * fm),
+                                          d * tp + (1.0 - d) * tm))
             else:
                 fpv, fmv, tpv, tmv = _expost_context_values(f, transfers.anonymous_expost, i)
+                # ex-post families exist in the noisy-report setting only
                 if fam == "ds-ic":
                     pairs = (
-                        ("ds-ic-high", ((b + 1.0) / 2.0) * (fpv - fmv), tpv - tmv),
-                        ("ds-ic-low", tpv - tmv, ((b - 1.0) / 2.0) * (fpv - fmv)),
+                        ("ds-ic-high", hi_coef * (fpv - fmv), tpv - tmv),
+                        ("ds-ic-low", tpv - tmv, lo_coef * (fpv - fmv)),
                     )
                 else:
                     pairs = (
-                        ("eir-high",
-                         ((b + 1.0) / 2.0) * ((1.0 - d) * fpv + d * fmv),
-                         (1.0 - d) * tpv + d * tmv),
-                        ("eir-low",
-                         ((b - 1.0) / 2.0) * (d * fpv + (1.0 - d) * fmv),
-                         d * tpv + (1.0 - d) * tmv),
+                        ("eir-high", hi_coef * ((1.0 - d) * fpv + d * fmv), (1.0 - d) * tpv + d * tmv),
+                        ("eir-low", lo_coef * (d * fpv + (1.0 - d) * fmv), d * tpv + (1.0 - d) * tmv),
                     )
                 for name, lhs_v, rhs_v in pairs:
                     worst = int(np.argmin(lhs_v - rhs_v))

@@ -39,6 +39,12 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
 
 
+def _check_sensitivity_args(f: HypercubeFunction, delta: float) -> None:
+    if not f.is_boolean:
+        raise ValueError("noise sensitivity requires a Boolean-valued function")
+    _check_delta(delta)
+
+
 @dataclass(frozen=True, eq=False)
 class JointCountDistribution:
     """Exact law of (m_x, m_y): vote counts of a uniform x and its noisy copy y."""
@@ -56,6 +62,26 @@ class JointCountDistribution:
     def suffix_mass(self) -> np.ndarray:
         """S[j, k] = P(m_x >= j, m_y >= k); used for threshold stabilities."""
         return self.pmf[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
+
+    def mean(self, g: np.ndarray):
+        """g . P 1 = E[g(m_x)] for count-indexed rules g along the last axis."""
+        return g @ self.marginal_x()
+
+    def stability(self, g: np.ndarray):
+        """g' P g = E[g(m_x) g(m_y)] for count-indexed rules g along the last axis."""
+        if g.ndim == 1:
+            return float(g @ self.pmf @ g)
+        return np.einsum("ij,jk,ik->i", g, self.pmf, g)
+
+    def sensitivity(self, g: np.ndarray):
+        """Noise sensitivity 2 (g . P 1 - g' P g) of Boolean rules g, both terms from this law."""
+        return sensitivity_from_stability(self.mean(g), self.stability(g))
+
+
+def sensitivity_from_stability(mean, stab):
+    """P(f(x) != f(y)) = 2 (E[f] - Stab) for Boolean f, clipped to [0, 1]."""
+    ns = np.clip(2.0 * (np.asarray(mean) - stab), 0.0, 1.0)
+    return float(ns) if ns.ndim == 0 else ns
 
 
 def joint_count_distribution(n: int, delta: float) -> JointCountDistribution:
@@ -108,17 +134,18 @@ def stability_exact(f: HypercubeFunction, delta: float) -> float:
         c = fourier_transform(f).coeffs
         w = (1.0 - 2.0 * delta) ** popcounts(f.n).astype(np.float64)
         return float(np.dot(w, c**2))
-    joint = joint_count_distribution(f.n, delta)
-    return float(f.g @ joint.pmf @ f.g)
+    return joint_count_distribution(f.n, delta).stability(f.g)
 
 
 def sensitivity_exact(f: HypercubeFunction, delta: float) -> float:
-    """P(f(x) != f(y)) = 2 (E[f] - Stab) for Boolean-valued f."""
-    if not f.is_boolean:
-        raise ValueError("noise sensitivity requires a Boolean-valued function")
-    _check_delta(delta)
-    ns = 2.0 * (f.mean() - stability_exact(f, delta))
-    return min(1.0, max(0.0, ns))
+    """P(f(x) != f(y)) = 2 (E[f] - Stab) for Boolean-valued f.
+
+    Anonymous rules take both terms from the joint count law.
+    """
+    _check_sensitivity_args(f, delta)
+    if isinstance(f, DenseFunction):
+        return sensitivity_from_stability(f.mean(), stability_exact(f, delta))
+    return joint_count_distribution(f.n, delta).sensitivity(f.g)
 
 
 class MonteCarloEstimate(NamedTuple):
@@ -137,9 +164,7 @@ def sensitivity_monte_carlo(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not f.is_boolean:
-        raise ValueError("noise sensitivity requires a Boolean-valued function")
-    _check_delta(delta)
+    _check_sensitivity_args(f, delta)
 
     n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
     children = np.random.SeedSequence(seed).spawn(n_batches)

@@ -24,7 +24,7 @@ import numpy as np
 from . import gaussian
 from .hypercube import binomial_weights, popcounts, walsh
 from .mechanism import MechanismParams
-from .noise import MAX_EXACT_COUNT_N, joint_count_distribution
+from .noise import MAX_EXACT_COUNT_N, joint_count_distribution, sensitivity_from_stability
 
 MAX_ORACLE_DENSE_N = 4
 MAX_ORACLE_ANONYMOUS_N = 20
@@ -86,7 +86,6 @@ class ThresholdTable:
     Index j means the rule 1{m >= j}, i.e. vote-sum cutoff nu = 2j - n.
     """
 
-    params: MechanismParams
     nu: np.ndarray
     mean: np.ndarray
     efnu: np.ndarray
@@ -106,16 +105,17 @@ def threshold_table(params: MechanismParams) -> ThresholdTable:
     rev = params.rho * efnu + params.mean_coef * mean
     revn = rev / (params.rho * math.sqrt(params.n))
     surp = 0.5 * params.b * params.n * mean + 0.5 * params.rho * efnu
-    return ThresholdTable(params, nu.astype(np.int64), mean, efnu, rev, revn, surp)
+    return ThresholdTable(nu.astype(np.int64), mean, efnu, rev, revn, surp)
 
 
 def threshold_ns_table(n: int, delta: float) -> np.ndarray:
-    """Exact noise sensitivity of every cutoff rule 1{m >= j}, j = 0..n."""
-    joint = joint_count_distribution(n, delta)
-    suffix = joint.suffix_mass()
-    mean = joint.marginal_x()[::-1].cumsum()[::-1]
-    ns = 2.0 * (mean - np.diag(suffix))
-    return np.clip(ns, 0.0, 1.0)
+    """Exact noise sensitivity of every cutoff rule g = 1{m >= j}, j = 0..n.
+
+    The law's two terms in O(n^2): g . P 1 is a suffix sum of the x-marginal
+    and g' P g is the diagonal of the suffix mass.
+    """
+    law = joint_count_distribution(n, delta)
+    return sensitivity_from_stability(law.marginal_x()[::-1].cumsum()[::-1], np.diag(law.suffix_mass()))
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,7 @@ class RevenueMaxResult:
 
 def revenue_max_threshold(params: MechanismParams) -> RevenueMaxResult:
     table = threshold_table(params)
-    best = int(np.argmax(table.revenue))
-    ties = np.nonzero(table.revenue >= table.revenue[best] - _FEAS_TOL)[0]
-    best = int(ties.min())  # most-provision tie-break
+    best = int(np.nonzero(table.revenue >= table.revenue.max() - _FEAS_TOL)[0][0])  # most-provision tie-break
     tau_pointwise = -params.mean_coef / params.rho + 0.0
     if params.b == 1.0:
         tau_closed_form, note = None, "closed-form cutoff undefined at b = 1 (division by 1-b)"
@@ -157,14 +155,40 @@ def revenue_max_threshold(params: MechanismParams) -> RevenueMaxResult:
     )
 
 
-def _check_r(r: float) -> None:
-    if not 0.0 < r <= gaussian.INV_SQRT_2PI + 1e-12:
-        raise ValueError(f"revenue target must lie in (0, 1/sqrt(2 pi)], got {r}")
-
-
-def _require_finite_n(params: MechanismParams) -> None:
-    if params.n > MAX_EXACT_COUNT_N:
+def _check_targets(params: MechanismParams, regime: str, r_values: Iterable[float]) -> list[float]:
+    """Validate the regime, the revenue targets and, for the finite regime, n."""
+    if regime not in ("finite", "asymptotic"):
+        raise ValueError(f"regime must be finite or asymptotic, got {regime!r}")
+    r_values = [float(r) for r in r_values]
+    for r in r_values:
+        if not 0.0 < r <= gaussian.INV_SQRT_2PI + 1e-12:
+            raise ValueError(f"revenue target must lie in (0, 1/sqrt(2 pi)], got {r}")
+    if regime == "finite" and params.n > MAX_EXACT_COUNT_N:
         raise ValueError(f"finite-regime frontier operations need n <= {MAX_EXACT_COUNT_N}")
+    return r_values
+
+
+def _asymptotic_point(params: MechanismParams, r: float, high: bool) -> FrontierPoint:
+    """Large-n limit of the cutoff raising normalized revenue r.
+
+    The low cutoff -phi_inv(r) has mean 1 - alpha(r), the high cutoff
+    +phi_inv(r) has mean alpha(r), and both share the noise sensitivity
+    ltf_ns_asymptotic(r, delta), which also fills `ns_high`.
+    """
+    t = gaussian.phi_inv_plus(r)
+    alpha = gaussian.alpha_limit(r)
+    mean = alpha if high else 1.0 - alpha
+    ns = gaussian.ltf_ns_asymptotic(r, params.delta)
+    return FrontierPoint("asymptotic", math.inf, params.delta, params.b, r, t if high else -t,
+                         ns, 0.5 * params.b * mean, r, mean, ns)
+
+
+def _finite_point(params: MechanismParams, table: ThresholdTable, ns: np.ndarray, r: float, j: int,
+                  mean: float, ns_high: float = math.nan) -> FrontierPoint:
+    return FrontierPoint(
+        "finite", params.n, params.delta, params.b, r, int(table.nu[j]), float(ns[j]),
+        float(table.surplus[j] / params.n), float(table.revenue_normalized[j]), float(mean), ns_high,
+    )
 
 
 def surplus_max_threshold(params: MechanismParams, r: float, regime: str = "finite") -> FrontierPoint:
@@ -173,86 +197,44 @@ def surplus_max_threshold(params: MechanismParams, r: float, regime: str = "fini
     Finite regime searches the n+1 cutoffs exactly; the large-n limit is the
     low cutoff -phi_inv(r).
     """
-    _check_r(r)
+    (r,) = _check_targets(params, regime, [r])
     if regime == "asymptotic":
-        t = gaussian.phi_inv_plus(r)
-        mean = 1.0 - gaussian.alpha_limit(r)
-        return FrontierPoint(
-            "asymptotic", math.inf, params.delta, params.b, r, -t,
-            gaussian.ltf_ns_asymptotic(r, params.delta),
-            0.5 * params.b * mean, r, mean,
-            gaussian.ltf_ns_asymptotic(r, params.delta),
-        )
-    if regime != "finite":
-        raise ValueError(f"regime must be finite or asymptotic, got {regime!r}")
-    _require_finite_n(params)
+        return _asymptotic_point(params, r, high=False)
     table = threshold_table(params)
     feas = table.feasible_indices(r)
     if feas.size == 0:
         raise InfeasibleTargetError(f"no cutoff rule reaches normalized revenue {r} at n = {params.n}")
-    best = int(feas[np.argmax(table.surplus[feas])])
-    ties = feas[table.surplus[feas] >= table.surplus[best] - _FEAS_TOL]
-    best = int(ties.min())
+    best = int(feas[table.surplus[feas] >= table.surplus[feas].max() - _FEAS_TOL][0])
     ns = threshold_ns_table(params.n, params.delta)
-    return FrontierPoint(
-        "finite", params.n, params.delta, params.b, r, int(table.nu[best]),
-        float(ns[best]), float(table.surplus[best] / params.n),
-        float(table.revenue_normalized[best]), float(table.mean[best]),
-    )
+    return _finite_point(params, table, ns, r, best, table.mean[best])
 
 
 def min_bias_threshold(params: MechanismParams, r: float, regime: str = "finite") -> FrontierPoint:
     """Smallest-mean rule meeting the revenue floor.
 
-    Finite regime: greedy fill of the highest vote counts, with a fractional
+    Finite regime: fill the highest vote counts first, with a fractional
     weight in [0, 1] at the boundary cell so the revenue constraint binds
     exactly; that is the LP optimum over unit-range rules and its `mean` is
-    the exact minimum. The reported threshold and ns belong to the Boolean
-    cutoff containing the boundary cell. Asymptotic: cutoff +phi_inv(r),
-    mean ccdf(phi_inv(r)).
+    the exact minimum. Cell revenue changes sign once, so the feasible
+    cutoffs are contiguous and the boundary cell j is the largest feasible
+    one; the cells above it are the cutoff j+1. The reported threshold and
+    ns belong to the Boolean cutoff containing the boundary cell.
+    Asymptotic: cutoff +phi_inv(r), mean ccdf(phi_inv(r)).
     """
-    _check_r(r)
+    (r,) = _check_targets(params, regime, [r])
     if regime == "asymptotic":
-        t = gaussian.phi_inv_plus(r)
-        alpha = gaussian.alpha_limit(r)
-        return FrontierPoint(
-            "asymptotic", math.inf, params.delta, params.b, r, t,
-            gaussian.ltf_ns_asymptotic(r, params.delta),
-            0.5 * params.b * alpha, r, alpha,
-            gaussian.ltf_ns_asymptotic(r, params.delta),
-        )
-    if regime != "finite":
-        raise ValueError(f"regime must be finite or asymptotic, got {regime!r}")
-    _require_finite_n(params)
-    w = binomial_weights(params.n)
-    nu = 2.0 * np.arange(params.n + 1) - params.n
-    cell_rev = (params.rho * nu + params.mean_coef) * w / (params.rho * math.sqrt(params.n))
-    filled_rev = 0.0
-    mean_lp = 0.0
-    boundary = None
-    for j in range(params.n, -1, -1):
-        if cell_rev[j] <= 0.0:
-            break
-        if filled_rev + cell_rev[j] >= r - _FEAS_TOL:
-            frac = min(1.0, max(0.0, (r - filled_rev) / cell_rev[j]))
-            mean_lp += frac * w[j]
-            boundary = j
-            break
-        filled_rev += cell_rev[j]
-        mean_lp += w[j]
-    if boundary is None:
-        raise InfeasibleTargetError(f"no unit-range rule reaches normalized revenue {r} at n = {params.n}")
+        return _asymptotic_point(params, r, high=True)
     table = threshold_table(params)
+    feas = table.feasible_indices(r)
+    if feas.size == 0:
+        raise InfeasibleTargetError(f"no unit-range rule reaches normalized revenue {r} at n = {params.n}")
+    j = int(feas[-1])
+    # the cells above j form the cutoff j + 1 (no cells when j = n)
+    rev_above, mean_above = (float(np.append(col, 0.0)[j + 1])
+                             for col in (table.revenue_normalized, table.mean))
+    frac = min(1.0, max(0.0, (r - rev_above) / (table.revenue_normalized[j] - rev_above)))
     ns = threshold_ns_table(params.n, params.delta)
-    return FrontierPoint(
-        "finite", params.n, params.delta, params.b, r, int(table.nu[boundary]),
-        float(ns[boundary]), float(table.surplus[boundary] / params.n),
-        float(table.revenue_normalized[boundary]), float(mean_lp),
-    )
-
-
-def _walsh_rows(vals: np.ndarray) -> np.ndarray:
-    return walsh(vals) / vals.shape[-1]
+    return _finite_point(params, table, ns, r, j, mean_above + frac * (table.mean[j] - mean_above))
 
 
 def ns_min_bruteforce(params: MechanismParams, r: float, scope: str = "all-boolean") -> OracleResult:
@@ -273,14 +255,23 @@ def ns_min_bruteforce(params: MechanismParams, r: float, scope: str = "all-boole
     raise ValueError(f"scope must be all-boolean or anonymous, got {scope!r}")
 
 
-def _finish_oracle(ns: np.ndarray, feasible: np.ndarray, ltf_ids: Sequence[int],
-                   ltf_nu: np.ndarray) -> OracleResult:
+def _finish_oracle(params: MechanismParams, r: float, mean: np.ndarray, efnu: np.ndarray, marg: np.ndarray,
+                   ns: np.ndarray, counts: np.ndarray) -> OracleResult:
+    """Shared tail of the oracles: feasibility, the minimizers and the best cutoff.
+
+    Entry k of every array describes the rule with truth-table bitmask k,
+    whose bit t is its value at a point with counts[t] votes for +1.
+    """
+    revn = (params.rho * efnu + params.mean_coef * mean) / (params.rho * math.sqrt(params.n))
+    bits = np.arange(counts.size)
+    ltf_ids = [int(((counts >= j).astype(np.int64) << bits).sum()) for j in range(params.n + 1)]
+    feasible = marg & (revn >= r - _FEAS_TOL)
     count = int(feasible.sum())
     if count == 0:
         return OracleResult(math.nan, (), 0, math.nan, math.nan, None)
     min_ns = float(ns[feasible].min())
     argmin = np.nonzero(feasible & (ns <= min_ns + 1e-12))[0]
-    feas_ltf = [(int(ltf_nu[j]), float(ns[fid])) for j, fid in enumerate(ltf_ids) if feasible[fid]]
+    feas_ltf = [(2 * j - params.n, float(ns[fid])) for j, fid in enumerate(ltf_ids) if feasible[fid]]
     best_nu, best_ltf_ns = min(feas_ltf, key=lambda item: (item[1], item[0]))
     return OracleResult(
         min_ns, tuple(int(i) for i in argmin), count,
@@ -300,13 +291,9 @@ def _oracle_dense(params: MechanismParams, r: float) -> OracleResult:
     marg = (vals @ signs >= 0).all(axis=1)
     mean = vals.sum(axis=1) / size
     efnu = (vals @ nu) / size
-    revn = (params.rho * efnu + params.mean_coef * mean) / (params.rho * math.sqrt(n))
-    coeffs = _walsh_rows(vals.astype(np.float64))
+    coeffs = walsh(vals.astype(np.float64)) / size
     stab = (coeffs**2) @ (params.rho ** pc.astype(np.float64))
-    ns = np.clip(2.0 * (mean - stab), 0.0, 1.0)
-    feasible = marg & (revn >= r - _FEAS_TOL)
-    ltf_ids = [int(((pc >= j).astype(np.int64) << pts).sum()) for j in range(n + 1)]
-    return _finish_oracle(ns, feasible, ltf_ids, 2 * np.arange(n + 1) - n)
+    return _finish_oracle(params, r, mean, efnu, marg, sensitivity_from_stability(mean, stab), pc)
 
 
 def _oracle_anonymous(params: MechanismParams, r: float) -> OracleResult:
@@ -315,12 +302,12 @@ def _oracle_anonymous(params: MechanismParams, r: float) -> OracleResult:
     m = np.arange(n + 1, dtype=np.int64)
     nu = 2 * m - n
     w = binomial_weights(n)
-    joint = joint_count_distribution(n, params.delta).pmf
+    law = joint_count_distribution(n, params.delta)
     # exact integer marginal-monotonicity weights: (2m - n) C(n, m)
     mono_w = np.array([(2 * mm - n) * math.comb(n, mm) for mm in m], dtype=np.int64)
     mean = np.empty(count)
     efnu = np.empty(count)
-    stab = np.empty(count)
+    ns = np.empty(count)
     marg = np.empty(count, dtype=bool)
     chunk = 1 << 14
     for start in range(0, count, chunk):
@@ -329,12 +316,8 @@ def _oracle_anonymous(params: MechanismParams, r: float) -> OracleResult:
         mean[ids] = g @ w
         efnu[ids] = g @ (w * nu)
         marg[ids] = (g.astype(np.int64) @ mono_w) >= 0
-        stab[ids] = np.einsum("ij,jk,ik->i", g, joint, g)
-    revn = (params.rho * efnu + params.mean_coef * mean) / (params.rho * math.sqrt(n))
-    ns = np.clip(2.0 * (mean - stab), 0.0, 1.0)
-    feasible = marg & (revn >= r - _FEAS_TOL)
-    ltf_ids = [int(((m >= j).astype(np.int64) << m).sum()) for j in range(n + 1)]
-    return _finish_oracle(ns, feasible, ltf_ids, 2 * np.arange(n + 1) - n)
+        ns[ids] = law.sensitivity(g)
+    return _finish_oracle(params, r, mean, efnu, marg, ns, m)
 
 
 def pareto_frontier(
@@ -342,47 +325,26 @@ def pareto_frontier(
 ) -> list[FrontierPoint]:
     """Minimum noise sensitivity versus required normalized revenue.
 
-    Both asymptotically optimal cutoffs (-phi_inv(r) and +phi_inv(r), or at
-    finite n the low and high feasibility-boundary cutoffs) are evaluated;
-    the emitted point carries the low cutoff, which also maximizes surplus,
-    with the high cutoff's noise sensitivity recorded in `ns_high`. Finite
-    grid entries whose revenue floor is unattainable are skipped with a
-    warning so sweeps continue.
+    Both optimal cutoffs (at finite n the low and high feasibility-boundary
+    cutoffs, in the limit -phi_inv(r) and +phi_inv(r), which share one
+    value) are evaluated; the emitted point carries the low cutoff, which
+    also maximizes surplus, with the high cutoff's noise sensitivity
+    recorded in `ns_high`. Finite grid entries whose revenue floor is
+    unattainable are skipped with a warning so sweeps continue.
     """
-    points: list[FrontierPoint] = []
+    r_grid = _check_targets(params, regime, r_grid)
     if regime == "asymptotic":
-        for r in r_grid:
-            _check_r(r)
-            t = gaussian.phi_inv_plus(r)
-            ns_low = gaussian.ltf_ns_asymptotic(r, params.delta)
-            alpha = gaussian.alpha_limit(r)
-            # high-cutoff value from its own mean, equal to ns_low by the
-            # symmetry of the Gaussian pair law
-            ns_high = 2.0 * (alpha - gaussian.binormal_cdf(-t, -t, params.rho))
-            points.append(FrontierPoint(
-                "asymptotic", math.inf, params.delta, params.b, float(r), -t,
-                ns_low, 0.5 * params.b * (1.0 - alpha), float(r), 1.0 - alpha,
-                min(1.0, max(0.0, ns_high)),
-            ))
-        return points
-    if regime != "finite":
-        raise ValueError(f"regime must be finite or asymptotic, got {regime!r}")
-    _require_finite_n(params)
+        return [_asymptotic_point(params, r, high=False) for r in r_grid]
     table = threshold_table(params)
     ns = threshold_ns_table(params.n, params.delta)
+    points: list[FrontierPoint] = []
     for r in r_grid:
-        _check_r(r)
-        feas = table.feasible_indices(float(r))
+        feas = table.feasible_indices(r)
         if feas.size == 0:
             warnings.warn(f"revenue target r = {r} infeasible at n = {params.n}; skipped", stacklevel=2)
             continue
         j_lo, j_hi = int(feas[0]), int(feas[-1])
-        points.append(FrontierPoint(
-            "finite", params.n, params.delta, params.b, float(r), int(table.nu[j_lo]),
-            float(ns[j_lo]), float(table.surplus[j_lo] / params.n),
-            float(table.revenue_normalized[j_lo]), float(table.mean[j_lo]),
-            float(ns[j_hi]),
-        ))
+        points.append(_finite_point(params, table, ns, r, j_lo, table.mean[j_lo], float(ns[j_hi])))
     return points
 
 
@@ -426,22 +388,18 @@ def majority_curve(n: Optional[int], delta_grid: Iterable[float]) -> list[Majori
         ]
     if not 1 <= n <= MAX_EXACT_COUNT_N:
         raise ValueError(f"finite majority curve needs 1 <= n <= {MAX_EXACT_COUNT_N}")
-    w = binomial_weights(n)
-    nu = 2.0 * np.arange(n + 1) - n
-    j0 = (n + 1) // 2
-    e_nu_plus = float((w[j0:] * nu[j0:]).sum())
-    mean = float(w[j0:].sum())
-    points = []
-    for d in deltas:
-        joint = joint_count_distribution(n, d)
-        stab = float(joint.suffix_mass()[j0, j0])
-        ns = min(1.0, max(0.0, 2.0 * (mean - stab)))
-        points.append(MajorityCurvePoint(
-            n, d, (1.0 - 2.0 * d) * e_nu_plus / math.sqrt(n), ns,
+    j0 = (n + 1) // 2  # majority is the cutoff 1{m >= j0}
+    # the mean and efnu columns depend on neither delta nor b
+    table = threshold_table(MechanismParams(n, 0.25, 1.0))
+    mean, e_nu_plus = float(table.mean[j0]), float(table.efnu[j0])
+    return [
+        MajorityCurvePoint(
+            n, d, (1.0 - 2.0 * d) * e_nu_plus / math.sqrt(n), float(threshold_ns_table(n, d)[j0]),
             e_nu_plus / math.sqrt(n), mean,
             0.5 * mean + (1.0 - 2.0 * d) * e_nu_plus / (2.0 * n),
-        ))
-    return points
+        )
+        for d in deltas
+    ]
 
 
 CSV_HEADER = "regime,n,delta,b,r,threshold,ns,surplus_per_capita,revenue_normalized"
@@ -451,14 +409,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _csv(rows: Iterable[Sequence[str]]) -> str:
+    return "\n".join([CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
+
+
 def frontier_csv(points: Sequence[FrontierPoint]) -> str:
-    lines = [CSV_HEADER]
-    for p in points:
-        lines.append(",".join([
-            p.regime, _fmt(p.n), _fmt(p.delta), _fmt(p.b), _fmt(p.r), _fmt(p.threshold),
-            _fmt(p.ns), _fmt(p.surplus_per_capita), _fmt(p.revenue_normalized),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv([p.regime, *map(_fmt, (p.n, p.delta, p.b, p.r, p.threshold, p.ns, p.surplus_per_capita,
+                                        p.revenue_normalized))] for p in points)
 
 
 def majority_curve_csv(points: Sequence[MajorityCurvePoint], b_column: float = 1.0) -> str:
@@ -468,11 +425,6 @@ def majority_curve_csv(points: Sequence[MajorityCurvePoint], b_column: float = 1
     at 1.0, the bias under which the revenue formula has no E[f] term, which
     is the term the curve drops as asymptotically negligible.
     """
-    lines = [CSV_HEADER]
-    for p in points:
-        regime = "finite" if math.isfinite(p.n) else "asymptotic"
-        lines.append(",".join([
-            regime, _fmt(p.n), _fmt(p.delta), _fmt(b_column), _fmt(p.revenue_over_sqrt_n),
-            "0", _fmt(p.ns), _fmt(p.surplus_per_capita), _fmt(p.revenue_normalized),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(["finite" if math.isfinite(p.n) else "asymptotic", _fmt(p.n), _fmt(p.delta), _fmt(b_column),
+                 _fmt(p.revenue_over_sqrt_n), "0", _fmt(p.ns), _fmt(p.surplus_per_capita),
+                 _fmt(p.revenue_normalized)] for p in points)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from noisemech.cli import main, parse_args, parse_grid, UsageError
+from noisemech import cli
+from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
 
 MAJ_SPEC = "kind=threshold\nn=3\ntheta=0\n"
 
@@ -63,12 +65,11 @@ class TestParseArgs:
             parse_args(["optimize", "--task", "min-bias", "--n", "50", "--delta", "0.1"])
 
     def test_threads_env(self, maj_file, monkeypatch):
-        monkeypatch.setenv("NOISEMECH_THREADS", "4")
-        cfg = parse_args(["analyze", "--spec", maj_file, "--delta", "0.1"])
-        assert cfg.threads == 4
+        # the former parallelism hint is gone: the variable is ignored
         monkeypatch.setenv("NOISEMECH_THREADS", "zero")
-        with pytest.raises(UsageError):
-            parse_args(["analyze", "--spec", maj_file, "--delta", "0.1"])
+        cfg = parse_args(["analyze", "--spec", maj_file, "--delta", "0.1"])
+        assert "threads" not in {f.name for f in dataclasses.fields(RunConfig)}
+        assert not hasattr(cfg, "threads")
 
 
 class TestAnalyze:
@@ -218,3 +219,71 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJointLawReuse:
+    def test_analyze_builds_the_joint_law_once(self, tmp_path, monkeypatch, capsys):
+        from noisemech import noise
+
+        spec = tmp_path / "maj101.fn"
+        spec.write_text("kind=threshold\nn=101\ntheta=0\n")
+        calls = []
+        build = noise.joint_count_distribution
+
+        def counting(n, delta):
+            calls.append((n, delta))
+            return build(n, delta)
+
+        monkeypatch.setattr(noise, "joint_count_distribution", counting)
+        assert main(["analyze", "--spec", str(spec), "--delta", "0.1", "--b", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "stability = " in out and "ns_exact = " in out
+        assert calls == [(101, 0.1)]
+
+
+class TestNonFiniteInput:
+    """NaN, infinities and oversized grids exit 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("spec, message", [
+        ("kind=anonymous\nn=3\ng=0,0,nan,1\n", "anonymous values must be finite"),
+        ("kind=anonymous\nn=3\ng=0,0,inf,1\n", "anonymous values must be finite"),
+        ("kind=dense\nn=2\nvalues=0,1,nan,1\n", "dense values must be finite"),
+        ("kind=dense\nn=2\nvalues=0,1,-inf,1\n", "dense values must be finite"),
+        ("kind=threshold\nn=3\ntheta=nan\n", "theta must be finite"),
+        ("kind=threshold\nn=3\ntheta=-inf\n", "theta must be finite"),
+    ])
+    def test_spec_values(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "bad.fn"
+        path.write_text(spec)
+        assert main(["analyze", "--spec", str(path), "--delta", "0.1", "--b", "0"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", ["0.1:nan:0.1", "0.1:inf:0.1", "0.1:0.3:nan", "nan:0.3:0.1",
+                                      "-inf:0.3:0.1", "0.1:0.3:inf"])
+    def test_range_grid(self, capsys, grid):
+        assert main(["frontier", "--delta", "0.1", f"--r-grid={grid}"]) == 2
+        assert "grid start, stop and step must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.1,nan", "inf"])
+    def test_list_grid(self, capsys, grid):
+        assert main(["majority-curve", "--n", "11", "--delta-grid", grid]) == 2
+        assert "grid values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:0.3:1e-9", "0:1:1e-300", "-1e308:1e308:1"])
+    def test_oversized_grid(self, capsys, grid):
+        # rejected from the point count alone, before any list is built
+        assert main(["frontier", "--delta", "0.1", f"--r-grid={grid}"]) == 2
+        assert "more than 1000000 points" in capsys.readouterr().err
+
+    def test_grid_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+        assert len(parse_grid("0:0.9:0.1")) == 10
+        with pytest.raises(UsageError, match="more than 10 points"):
+            parse_grid("0:1:0.1")
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_privacy_eps(self, capsys, eps):
+        assert main(["privacy", "--eps", eps]) == 2
+        assert "eps must be positive and finite" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from noisemech.hypercube import (
     build_function,
     binomial_weights,
     fourier_transform,
+    half_split,
     influence,
     influences,
     inverse_fourier,
@@ -245,3 +246,25 @@ def test_anonymous_large_n_mean():
 def test_popcounts():
     pc = popcounts(4)
     assert pc.tolist() == [bin(k).count("1") for k in range(16)]
+
+
+class TestHalfSplit:
+    def test_pairs_contexts_and_keeps_dtype(self):
+        n = 4
+        idx = np.arange(1 << n, dtype=np.int64)
+        for i in range(n):
+            lo, hi = half_split(idx, i)
+            assert lo.dtype == np.int64 and hi.dtype == np.int64
+            assert np.array_equal(hi, lo | (1 << i))
+            assert np.array_equal(np.sort(lo.ravel()), idx[(idx >> i) & 1 == 0])
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructors_reject(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            AnonymousFunction(3, [0.0, 0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            DenseFunction(2, [0.0, 1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="theta must be finite"):
+            build_function(f"kind=threshold\nn=3\ntheta={bad}\n")

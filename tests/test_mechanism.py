@@ -405,3 +405,13 @@ class TestPropositions:
             if bnic_high and iir_low:
                 iir_high = (b + 1) / 2 * ((1 - d) * fp + d * fm) - ((1 - d) * tp + d * tm)
                 assert iir_high >= -1e-12
+
+
+class TestValueCoefficients:
+    def test_settings(self):
+        noisy = MechanismParams(5, 0.1, b=0.4)
+        assert noisy.value_coefs == (-0.3, 0.7)
+        assert noisy.mean_coef == -0.3
+        imperfect = MechanismParams(5, 0.1, b=0.4, setting="imperfect-knowledge")
+        assert imperfect.value_coefs == pytest.approx((-0.2, 0.6), abs=1e-15)
+        assert imperfect.mean_coef == imperfect.value_coefs[0]

@@ -316,3 +316,49 @@ class TestCsvEmission:
         lines = text.strip().splitlines()
         assert lines[0] == "regime,n,delta,b,r,threshold,ns,surplus_per_capita,revenue_normalized"
         assert len(lines) == 4
+
+
+class TestOneCutoffEngine:
+    @pytest.mark.parametrize("delta", [0.05, 0.3])
+    def test_cutoff_ns_agrees_across_paths(self, delta):
+        # sensitivity_exact, the ns table and the majority curve read NS from
+        # one joint law with one identity, so they agree to rounding
+        n = 301
+        j0 = (n + 1) // 2
+        table = threshold_ns_table(n, delta)
+        for j in (0, 1, 60, 120, 148, j0 - 1, j0, j0 + 1, 180, 240, n):
+            direct = sensitivity_exact(threshold_function(n, 2 * j - n), delta)
+            assert abs(direct - table[j]) <= 5e-15, j
+        assert abs(majority_curve(n, [delta])[0].ns - table[j0]) <= 5e-15
+
+    @staticmethod
+    def _greedy_min_bias(params, r):
+        """The former fill loop: highest vote counts first, fractional at the boundary."""
+        w = np.array([math.comb(params.n, m) / 2**params.n for m in range(params.n + 1)])
+        nu = 2.0 * np.arange(params.n + 1) - params.n
+        cell = (params.rho * nu + params.mean_coef) * w / (params.rho * math.sqrt(params.n))
+        filled = mean = 0.0
+        for j in range(params.n, -1, -1):
+            if cell[j] <= 0.0:
+                return None
+            if filled + cell[j] >= r - 1e-12:
+                return j, mean + min(1.0, max(0.0, (r - filled) / cell[j])) * w[j]
+            filled += cell[j]
+            mean += w[j]
+        return None
+
+    def test_min_bias_matches_greedy_fill(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            setting = str(rng.choice(["noisy-report", "imperfect-knowledge"]))
+            params = MechanismParams(int(rng.integers(1, 250)), float(rng.uniform(0.02, 0.45)),
+                                     float(rng.uniform(0.0, 1.0)), setting)
+            r = float(rng.uniform(0.01, INV_SQRT_2PI))
+            want = self._greedy_min_bias(params, r)
+            if want is None:
+                with pytest.raises(InfeasibleTargetError):
+                    min_bias_threshold(params, r)
+                continue
+            pt = min_bias_threshold(params, r)
+            assert pt.threshold == 2 * want[0] - params.n
+            assert pt.mean == pytest.approx(want[1], rel=1e-11, abs=1e-14)

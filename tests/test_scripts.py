@@ -1,0 +1,47 @@
+"""The experiment scripts run end to end with small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from noisemech.optimize import CSV_HEADER
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_reproduce_figures(tmp_path):
+    proc = _run("reproduce_figures.py", "--outdir", str(tmp_path / "out"), "--n", "11",
+                "--delta-step", "0.25", "--r-points", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == ["fig_frontier_d0.15.csv", "fig_frontier_d0.25.csv", "fig_frontier_d0.35.csv",
+                       "fig_majority.csv"]
+    for name in written:
+        lines = (tmp_path / "out" / name).read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+    assert len((tmp_path / "out" / "fig_majority.csv").read_text().splitlines()) == 1 + 2 * 3
+
+
+def test_oracle_gap_table(tmp_path):
+    proc = _run("oracle_gap_table.py", "--n", "2", "--deltas", "0.1", "--biases", "0,0.5",
+                "--r-grid", "0.1:0.3:0.1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delta,b,r,feasible_count,min_ns,best_ltf_ns,best_ltf_threshold,ltf_gap"
+    assert len(lines) == 1 + 2 * 3 + 1
+    assert lines[1].startswith("0.1,0,0.1,")
+    assert lines[-1].startswith("# worst gap: ")
+
+
+def test_oracle_gap_table_rejects_bad_grid(tmp_path):
+    proc = _run("oracle_gap_table.py", "--r-grid", "0.1:inf:0.1", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr
