@@ -64,11 +64,11 @@ class JointCountDistribution:
         return self.pmf[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
 
     def mean(self, g: np.ndarray):
-        """g . P 1 = E[g(m_x)] for count-indexed rules g along the last axis."""
+        """g . P 1 = E[g(m_x)] for one count-indexed rule g, or one per row of g."""
         return g @ self.marginal_x()
 
     def stability(self, g: np.ndarray):
-        """g' P g = E[g(m_x) g(m_y)] for count-indexed rules g along the last axis."""
+        """g' P g = E[g(m_x) g(m_y)] for one count-indexed rule g, or one per row of g."""
         if g.ndim == 1:
             return float(g @ self.pmf @ g)
         return np.einsum("ij,jk,ik->i", g, self.pmf, g)
