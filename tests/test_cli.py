@@ -6,6 +6,7 @@ import pytest
 
 from noisemech import cli
 from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
+from noisemech.noise import MAX_EXACT_COUNT_N
 
 MAJ_SPEC = "kind=threshold\nn=3\ntheta=0\n"
 
@@ -88,7 +89,7 @@ class TestAnalyze:
 
     def test_large_n_falls_back_to_monte_carlo(self, tmp_path, capsys):
         spec = tmp_path / "big.fn"
-        spec.write_text("kind=threshold\nn=2501\ntheta=0\n")
+        spec.write_text(f"kind=threshold\nn={MAX_EXACT_COUNT_N + 1}\ntheta=0\n")
         assert main(["analyze", "--spec", str(spec), "--delta", "0.1",
                      "--mc-samples", "20000", "--seed", "1"]) == 0
         captured = capsys.readouterr()

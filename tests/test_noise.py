@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisemech import optimize
 from noisemech.hypercube import AnonymousFunction, DenseFunction, majority_function, threshold_function
 from noisemech.noise import (
+    MAX_EXACT_COUNT_N,
+    JointCountDistribution,
     joint_count_distribution,
     noise_operator,
     sensitivity_exact,
@@ -22,6 +25,29 @@ def pair_enumeration_stability(values, n, delta):
             h = bin(x ^ y).count("1")
             total += values[x] * values[y] * delta**h * (1 - delta) ** (n - h)
     return total / (1 << n)
+
+
+def _dp_joint_count_pmf(n, delta):
+    """Reference law of (m_x, m_y) by a DP over coordinates.
+
+    Each coordinate adds one of four cells (+ +, + -, - +, - -) with
+    probabilities ((1-d)/2, d/2, d/2, (1-d)/2). O(n^3) time.
+    """
+    p_same = (1.0 - delta) / 2.0
+    p_diff = delta / 2.0
+    cur = np.zeros((n + 1, n + 1))
+    nxt = np.zeros((n + 1, n + 1))
+    cur[0, 0] = 1.0
+    for i in range(n):
+        k = i + 1
+        src = cur[:k, :k]
+        nxt[: k + 1, : k + 1] = 0.0
+        nxt[1 : k + 1, 1 : k + 1] += p_same * src
+        nxt[1 : k + 1, :k] += p_diff * src
+        nxt[:k, 1 : k + 1] += p_diff * src
+        nxt[:k, :k] += p_same * src
+        cur, nxt = nxt, cur
+    return cur
 
 
 def pair_enumeration_ns(values, n, delta):
@@ -176,9 +202,27 @@ class TestJointCountDistribution:
             assert np.allclose(joint.marginal_x(), binom, atol=1e-12)
             assert np.allclose(joint.marginal_y(), binom, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [0.0, 0.02, 0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 101, 257, 500])
+    def test_matches_coordinate_dp(self, n, d, monkeypatch):
+        dp = _dp_joint_count_pmf(n, d)
+        assert np.abs(joint_count_distribution(n, d).pmf - dp).max() <= 1e-13
+        ns = optimize.threshold_ns_table(n, d)
+        monkeypatch.setattr(optimize, "joint_count_distribution",
+                            lambda n, d: JointCountDistribution(n, d, dp))
+        assert np.abs(ns - optimize.threshold_ns_table(n, d)).max() <= 1e-13
+
+    def test_largest_exact_size(self):
+        n = MAX_EXACT_COUNT_N
+        joint = joint_count_distribution(n, 0.1)
+        assert abs(joint.pmf.sum() - 1.0) <= 1e-12
+        binom = np.array([math.comb(n, m) / 2**n for m in range(n + 1)])
+        cells = binom > 1e-300
+        assert np.abs(joint.marginal_x()[cells] / binom[cells] - 1.0).max() <= 1e-12
+
     def test_rejects_over_limit(self):
         with pytest.raises(ValueError):
-            joint_count_distribution(2001, 0.1)
+            joint_count_distribution(MAX_EXACT_COUNT_N + 1, 0.1)
 
     @pytest.mark.parametrize("n,d", [(6, 0.1), (11, 0.3), (25, 0.45)])
     def test_conditional_rows_are_binomial_convolutions(self, n, d):

@@ -45,3 +45,11 @@ def test_oracle_gap_table_rejects_bad_grid(tmp_path):
     proc = _run("oracle_gap_table.py", "--r-grid", "0.1:inf:0.1", cwd=tmp_path)
     assert proc.returncode == 2
     assert "must be finite" in proc.stderr
+
+
+def test_benchmark_self_test():
+    # every deliberately wrong result must still count as a failed benchmark job
+    proc = subprocess.run([sys.executable, str(ROOT / "benchmark" / "run.py"), "--self-test"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-test passed" in proc.stdout
