@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -164,7 +163,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     if not 0.0 <= cfg.b <= 1.0:
         raise UsageError("b must be in [0, 1]")
     for r in cfg.r_grid + ([cfg.r] if cfg.r is not None else []):
-        if not 0.0 < r <= gaussian.INV_SQRT_2PI + 1e-12:
+        if not 0.0 < r <= gaussian.MAX_REVENUE_TARGET:
             raise UsageError("r must be in (0, 1/sqrt(2 pi)]")
     if cfg.command == "optimize" and cfg.task != "revenue-max" and cfg.r is None:
         raise UsageError(f"--r is required for task {cfg.task}")
@@ -187,12 +186,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     params = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, cfg.setting)
     alt = "imperfect-knowledge" if cfg.setting == "noisy-report" else "noisy-report"
     params_alt = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, alt)
-    lines = []
+    mean, efnu = f.mean(), f.mean_nu()
     kind = "dense" if isinstance(f, hypercube.DenseFunction) else "anonymous"
-    lines.append(f"kind = {kind}")
-    lines.append(f"n = {f.n}")
-    lines.append(f"mean = {_fmt(f.mean())}")
-    lines.append(f"degree1_sum = {_fmt(f.mean_nu())}")
+    lines = [f"kind = {kind}", f"n = {f.n}", f"mean = {_fmt(mean)}", f"degree1_sum = {_fmt(efnu)}"]
     mono = hypercube.monotonicity_check(f, "monotone")
     marg = hypercube.monotonicity_check(f, "marginally-monotone")
     lines.append(f"monotone = {str(mono).lower()}")
@@ -205,21 +201,22 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         degw = spectrum.weight_by_degree()
         lines.append("spectral_weight_by_degree = " + ",".join(_fmt(v) for v in degw))
         lines.append("influences = " + ",".join(_fmt(v) for v in hypercube.influences(dense_view)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lines.append(f"revenue_{params.setting.replace('-', '_')} = {_fmt(mechanism.revenue(f, params))}")
-        lines.append(f"revenue_{alt.replace('-', '_')} = {_fmt(mechanism.revenue(f, params_alt))}")
-        lines.append(f"revenue_normalized = {_fmt(mechanism.revenue_normalized(f, params))}")
-    lines.append(f"surplus = {_fmt(mechanism.surplus(f, params))}")
-    lines.append(f"surplus_per_capita = {_fmt(mechanism.surplus(f, params) / f.n)}")
+    revenue = params.revenue_index(mean, efnu)
+    lines.append(f"revenue_{params.setting.replace('-', '_')} = {_fmt(revenue)}")
+    lines.append(f"revenue_{alt.replace('-', '_')} = {_fmt(params_alt.revenue_index(mean, efnu))}")
+    lines.append(f"revenue_normalized = {_fmt(params.normalize(revenue))}")
+    surplus = params.surplus_index(mean, efnu)
+    lines.append(f"surplus = {_fmt(surplus)}")
+    lines.append(f"surplus_per_capita = {_fmt(surplus / f.n)}")
     if f.is_boolean:
         exact_ok = isinstance(f, hypercube.DenseFunction) or f.n <= noise.MAX_EXACT_COUNT_N
         if exact_ok:
             if isinstance(f, hypercube.DenseFunction):
-                stab, ns_value = noise.stability_exact(f, cfg.delta), noise.sensitivity_exact(f, cfg.delta)
+                stab, mean_x = noise.stability_exact(f, cfg.delta), mean
             else:  # one joint-law build serves both lines
                 law = noise.joint_count_distribution(f.n, cfg.delta)
-                stab, ns_value = law.stability(f.g), law.sensitivity(f.g)
+                stab, mean_x = law.stability(f.g), law.mean(f.g)
+            ns_value = noise.sensitivity_from_stability(mean_x, stab)
             lines.append(f"stability = {_fmt(stab)}")
             lines.append(f"ns_exact = {_fmt(ns_value)}")
         else:

@@ -19,6 +19,7 @@ from .noise import sensitivity_from_stability
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
+MAX_REVENUE_TARGET = INV_SQRT_2PI + 1e-12  # the largest r accepted: feasibility's 1e-12 slack above the limit
 
 _BISECT_WIDTH = 1e-13
 _MAX_ITER = 200
@@ -83,7 +84,7 @@ def phi_inv_plus(r: float) -> float:
     Closed form t = sqrt(-2 log(r sqrt(2 pi))), followed by one Newton step
     when the derivative is usable.
     """
-    if not 0.0 < r <= INV_SQRT_2PI + 1e-15:
+    if not 0.0 < r <= MAX_REVENUE_TARGET:
         raise ValueError(f"density inverse needs 0 < r <= 1/sqrt(2 pi), got {r}")
     t = math.sqrt(max(0.0, -2.0 * math.log(min(r, INV_SQRT_2PI) * SQRT_2PI)))
     if t > 1e-8:

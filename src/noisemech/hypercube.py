@@ -131,9 +131,8 @@ class DenseFunction:
         return _degree1_sums(self.values) / self.values.size
 
     def mean_nu(self) -> float:
-        """E[f(x) sum_i x_i]."""
-        nu = 2 * popcounts(self.n) - self.n
-        return float(np.dot(self.values, nu) / self.values.size)
+        """E[f(x) sum_i x_i], the sum of the degree-1 coefficients."""
+        return float(self.degree1().sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +234,13 @@ def influences(f: DenseFunction) -> np.ndarray:
 
 
 def _degree1_sums(values: np.ndarray) -> np.ndarray:
-    """2^n E[f x_i] per coordinate, in the dtype of `values` (exact for int64)."""
+    """2^n E[f x_i] per coordinate, in the dtype of `values` (exact for int64).
+
+    Differences are taken per context before summing, so float tables lose
+    only rounding on f(+1, y) - f(-1, y), not on two large sums.
+    """
     n = values.size.bit_length() - 1
-    return np.array([hi.sum() - lo.sum() for lo, hi in (half_split(values, i) for i in range(n))],
+    return np.array([(hi - lo).sum() for lo, hi in (half_split(values, i) for i in range(n))],
                     dtype=values.dtype)
 
 

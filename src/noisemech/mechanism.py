@@ -34,7 +34,6 @@ from .hypercube import (
     AnonymousFunction,
     HypercubeFunction,
     binomial_weights,
-    fourier_transform,
     half_split,
     monotonicity_check,
     popcounts,
@@ -87,19 +86,28 @@ class MechanismParams:
         """Coefficient on E[f] in the revenue formula: the low type's value weight."""
         return self.value_coefs[0]
 
+    def revenue_index(self, mean, efnu):
+        """(1-2 delta) E[f sum x_i] + mean_coef E[f], on scalars or arrays."""
+        return self.rho * efnu + self.mean_coef * mean
+
+    def normalize(self, revenue):
+        """revenue / ((1-2 delta) sqrt(n)), on scalars or arrays."""
+        return revenue / (self.rho * math.sqrt(self.n))
+
+    def surplus_index(self, mean, efnu):
+        """(b n / 2) E[f] + ((1-2 delta)/2) E[f sum x_i], on scalars or arrays."""
+        return 0.5 * self.b * self.n * mean + 0.5 * self.rho * efnu
+
 
 def _stats(f: HypercubeFunction, params: MechanismParams):
     """(mean, E[f sum x_i], degree-1 coefficients per agent)."""
     if f.n != params.n:
         raise ValueError(f"function dimension {f.n} does not match params.n = {params.n}")
     if isinstance(f, AnonymousFunction):
-        mean = f.mean()
         efnu = f.mean_nu()
-        d1 = np.full(params.n, efnu / params.n)
-        return mean, efnu, d1
-    coeffs = fourier_transform(f).coeffs
-    d1 = np.array([coeffs[1 << i] for i in range(f.n)])
-    return float(coeffs[0]), float(d1.sum()), d1
+        return f.mean(), efnu, np.full(params.n, efnu / params.n)
+    d1 = f.degree1()
+    return f.mean(), float(d1.sum()), d1
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +148,12 @@ def revenue(f: HypercubeFunction, params: MechanismParams) -> float:
     mean, efnu, _ = _stats(f, params)
     if not monotonicity_check(f, "marginally-monotone"):
         warnings.warn("revenue evaluated for a rule that is not marginally monotone", stacklevel=2)
-    return params.rho * efnu + params.mean_coef * mean
+    return params.revenue_index(mean, efnu)
 
 
 def revenue_normalized(f: HypercubeFunction, params: MechanismParams) -> float:
     """revenue / ((1-2 delta) sqrt(n))."""
-    return revenue(f, params) / (params.rho * math.sqrt(params.n))
+    return params.normalize(revenue(f, params))
 
 
 def surplus(f: HypercubeFunction, params: MechanismParams) -> float:
@@ -157,7 +165,7 @@ def surplus(f: HypercubeFunction, params: MechanismParams) -> float:
     if not f.is_unit_range:
         raise ValueError("surplus is defined for unit-range allocation rules")
     mean, efnu, _ = _stats(f, params)
-    return 0.5 * params.b * params.n * mean + 0.5 * params.rho * efnu
+    return params.surplus_index(mean, efnu)
 
 
 def surplus_distortion_bound(
@@ -325,6 +333,24 @@ def _expost_context_values(f: HypercubeFunction, t: np.ndarray, agent: int):
     return f.values[high], f.values[low], t[pc[high]], t[pc[low]]
 
 
+def _inequalities(fam: str, params: MechanismParams, fp, fm, tp, tm):
+    """(name, lhs, rhs) of the high- and low-type inequalities of one family, elementwise.
+
+    The inputs are interim pairs per agent (bn-ic, iir) or values per context
+    (ds-ic, eir: the same inequalities, in the noisy-report setting only).
+    """
+    lo, hi = params.value_coefs
+    d = params.delta
+    if fam in ("bn-ic", "ds-ic"):
+        pairs = ((hi * (fp - fm), tp - tm), (tp - tm, lo * (fp - fm)))
+    elif params.setting == "imperfect-knowledge":
+        pairs = ((hi * fp, tp), (lo * fm, tm))
+    else:
+        pairs = ((hi * ((1.0 - d) * fp + d * fm), (1.0 - d) * tp + d * tm),
+                 (lo * (d * fp + (1.0 - d) * fm), d * tp + (1.0 - d) * tm))
+    return [(f"{fam}-{side}", lhs, rhs) for side, (lhs, rhs) in zip(("high", "low"), pairs)]
+
+
 def check_constraints(
     f: HypercubeFunction,
     transfers: TransferSchedule,
@@ -352,39 +378,20 @@ def check_constraints(
         raise ValueError("ex-post families are defined in the noisy-report setting only")
 
     prof = interim_marginals(f, params)
-    lo_coef, hi_coef = params.value_coefs
-    d = params.delta
-
-    rows: list[ConstraintRow] = []
-    for i in range(params.n):
-        fm, fp = prof.v_minus[i], prof.v_plus[i]
-        tm, tp = transfers.interim.v_minus[i], transfers.interim.v_plus[i]
-        for fam in families:
-            if fam == "bn-ic":
-                rows.append(ConstraintRow(i, "bn-ic-high", hi_coef * (fp - fm), tp - tm))
-                rows.append(ConstraintRow(i, "bn-ic-low", tp - tm, lo_coef * (fp - fm)))
-            elif fam == "iir" and params.setting == "imperfect-knowledge":
-                rows.append(ConstraintRow(i, "iir-high", hi_coef * fp, tp))
-                rows.append(ConstraintRow(i, "iir-low", lo_coef * fm, tm))
-            elif fam == "iir":
-                rows.append(ConstraintRow(i, "iir-high", hi_coef * ((1.0 - d) * fp + d * fm),
-                                          (1.0 - d) * tp + d * tm))
-                rows.append(ConstraintRow(i, "iir-low", lo_coef * (d * fp + (1.0 - d) * fm),
-                                          d * tp + (1.0 - d) * tm))
-            else:
-                fpv, fmv, tpv, tmv = _expost_context_values(f, transfers.anonymous_expost, i)
-                # ex-post families exist in the noisy-report setting only
-                if fam == "ds-ic":
-                    pairs = (
-                        ("ds-ic-high", hi_coef * (fpv - fmv), tpv - tmv),
-                        ("ds-ic-low", tpv - tmv, lo_coef * (fpv - fmv)),
-                    )
-                else:
-                    pairs = (
-                        ("eir-high", hi_coef * ((1.0 - d) * fpv + d * fmv), (1.0 - d) * tpv + d * tmv),
-                        ("eir-low", lo_coef * (d * fpv + (1.0 - d) * fmv), d * tpv + (1.0 - d) * tmv),
-                    )
-                for name, lhs_v, rhs_v in pairs:
-                    worst = int(np.argmin(lhs_v - rhs_v))
-                    rows.append(ConstraintRow(i, name, float(lhs_v[worst]), float(rhs_v[worst])))
-    return ConstraintReport(tuple(rows))
+    sched = transfers.interim
+    # family -> [(name, lhs per agent, rhs per agent)]
+    columns = {}
+    for fam in families:
+        if fam not in _EXPOST_FAMILIES:
+            ineqs = _inequalities(fam, params, prof.v_plus, prof.v_minus, sched.v_plus, sched.v_minus)
+        else:
+            worst = np.empty((2, 2, params.n))  # (high/low, lhs/rhs, agent)
+            for i in range(params.n):
+                ineqs = _inequalities(fam, params, *_expost_context_values(f, transfers.anonymous_expost, i))
+                for k, (_, lhs, rhs) in enumerate(ineqs):
+                    j = np.argmin(lhs - rhs)
+                    worst[k, :, i] = lhs[j], rhs[j]
+            ineqs = [(name, *worst[k]) for k, (name, _, _) in enumerate(ineqs)]
+        columns[fam] = [(name, lhs.tolist(), rhs.tolist()) for name, lhs, rhs in ineqs]
+    return ConstraintReport(tuple(ConstraintRow(i, name, lhs[i], rhs[i]) for i in range(params.n)
+                                  for fam in families for name, lhs, rhs in columns[fam]))

@@ -57,9 +57,6 @@ class JointCountDistribution:
     def marginal_x(self) -> np.ndarray:
         return self.pmf.sum(axis=1)
 
-    def marginal_y(self) -> np.ndarray:
-        return self.pmf.sum(axis=0)
-
     def suffix_mass(self) -> np.ndarray:
         """S[j, k] = P(m_x >= j, m_y >= k); used for threshold stabilities."""
         return self.pmf[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]

@@ -102,10 +102,9 @@ def threshold_table(params: MechanismParams) -> ThresholdTable:
     nu = 2.0 * np.arange(params.n + 1) - params.n
     mean = w[::-1].cumsum()[::-1]
     efnu = (w * nu)[::-1].cumsum()[::-1]
-    rev = params.rho * efnu + params.mean_coef * mean
-    revn = rev / (params.rho * math.sqrt(params.n))
-    surp = 0.5 * params.b * params.n * mean + 0.5 * params.rho * efnu
-    return ThresholdTable(nu.astype(np.int64), mean, efnu, rev, revn, surp)
+    rev = params.revenue_index(mean, efnu)
+    return ThresholdTable(nu.astype(np.int64), mean, efnu, rev, params.normalize(rev),
+                          params.surplus_index(mean, efnu))
 
 
 def threshold_ns_table(n: int, delta: float) -> np.ndarray:
@@ -139,7 +138,8 @@ class RevenueMaxResult:
 
 def revenue_max_threshold(params: MechanismParams) -> RevenueMaxResult:
     table = threshold_table(params)
-    best = int(np.nonzero(table.revenue >= table.revenue.max() - _FEAS_TOL)[0][0])  # most-provision tie-break
+    revn = table.revenue_normalized  # like feasibility, ties are judged where 1-2 delta -> 0 cannot shrink them
+    best = int(np.nonzero(revn >= revn.max() - _FEAS_TOL)[0][0])  # most-provision tie-break
     tau_pointwise = -params.mean_coef / params.rho + 0.0
     if params.b == 1.0:
         tau_closed_form, note = None, "closed-form cutoff undefined at b = 1 (division by 1-b)"
@@ -161,7 +161,7 @@ def _check_targets(params: MechanismParams, regime: str, r_values: Iterable[floa
         raise ValueError(f"regime must be finite or asymptotic, got {regime!r}")
     r_values = [float(r) for r in r_values]
     for r in r_values:
-        if not 0.0 < r <= gaussian.INV_SQRT_2PI + 1e-12:
+        if not 0.0 < r <= gaussian.MAX_REVENUE_TARGET:
             raise ValueError(f"revenue target must lie in (0, 1/sqrt(2 pi)], got {r}")
     if regime == "finite" and params.n > MAX_EXACT_COUNT_N:
         raise ValueError(f"finite-regime frontier operations need n <= {MAX_EXACT_COUNT_N}")
@@ -255,69 +255,63 @@ def ns_min_bruteforce(params: MechanismParams, r: float, scope: str = "all-boole
     raise ValueError(f"scope must be all-boolean or anonymous, got {scope!r}")
 
 
-def _finish_oracle(params: MechanismParams, r: float, mean: np.ndarray, efnu: np.ndarray, marg: np.ndarray,
-                   ns: np.ndarray, counts: np.ndarray) -> OracleResult:
-    """Shared tail of the oracles: feasibility, the minimizers and the best cutoff.
+def _oracle(params: MechanismParams, r: float, counts: np.ndarray, weights: np.ndarray, mono: np.ndarray,
+            sensitivity) -> OracleResult:
+    """Every Boolean rule on the cells, in chunks: feasibility, the minimizers and the best cutoff.
 
-    Entry k of every array describes the rule with truth-table bitmask k,
-    whose bit t is its value at a point with counts[t] votes for +1.
+    Rule k is the truth-table bitmask k; its bit t is its value on cell t, which has counts[t] votes
+    for +1 and probability weights[t]. A rule g is marginally monotone iff the integers g @ mono are
+    all >= 0, and `sensitivity` maps rows of rules to their noise sensitivities.
     """
-    revn = (params.rho * efnu + params.mean_coef * mean) / (params.rho * math.sqrt(params.n))
-    bits = np.arange(counts.size)
+    count = 1 << counts.size
+    bits = np.arange(counts.size, dtype=np.int64)
+    nu_weights = weights * (2 * counts - params.n)
+    mean, efnu, ns = np.empty((3, count))
+    marg = np.empty(count, dtype=bool)
+    chunk = 1 << 14
+    for start in range(0, count, chunk):
+        ids = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        g = (ids[:, None] >> bits[None, :]) & 1
+        marg[ids] = (g @ mono >= 0).all(axis=1)
+        g = g.astype(np.float64)
+        mean[ids] = g @ weights
+        efnu[ids] = g @ nu_weights
+        ns[ids] = sensitivity(g)
+    revn = params.normalize(params.revenue_index(mean, efnu))
     ltf_ids = [int(((counts >= j).astype(np.int64) << bits).sum()) for j in range(params.n + 1)]
     feasible = marg & (revn >= r - _FEAS_TOL)
-    count = int(feasible.sum())
-    if count == 0:
+    feasible_count = int(feasible.sum())
+    if feasible_count == 0:
         return OracleResult(math.nan, (), 0, math.nan, math.nan, None)
     min_ns = float(ns[feasible].min())
     argmin = np.nonzero(feasible & (ns <= min_ns + 1e-12))[0]
     feas_ltf = [(2 * j - params.n, float(ns[fid])) for j, fid in enumerate(ltf_ids) if feasible[fid]]
     best_nu, best_ltf_ns = min(feas_ltf, key=lambda item: (item[1], item[0]))
-    return OracleResult(
-        min_ns, tuple(int(i) for i in argmin), count,
-        best_ltf_ns - min_ns, best_ltf_ns, best_nu,
-    )
+    return OracleResult(min_ns, tuple(int(i) for i in argmin), feasible_count,
+                        best_ltf_ns - min_ns, best_ltf_ns, best_nu)
 
 
 def _oracle_dense(params: MechanismParams, r: float) -> OracleResult:
+    """Cells are the 2^n points; monotonicity reads the per-coordinate signs."""
     n = params.n
     size = 1 << n
-    count = 1 << size
-    pts = np.arange(size, dtype=np.int64)
     pc = popcounts(n)
-    nu = 2 * pc - n
-    signs = (((pts[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1).astype(np.int64)
-    vals = ((np.arange(count, dtype=np.int64)[:, None] >> pts[None, :]) & 1).astype(np.int64)
-    marg = (vals @ signs >= 0).all(axis=1)
-    mean = vals.sum(axis=1) / size
-    efnu = (vals @ nu) / size
-    coeffs = walsh(vals.astype(np.float64)) / size
-    stab = (coeffs**2) @ (params.rho ** pc.astype(np.float64))
-    return _finish_oracle(params, r, mean, efnu, marg, sensitivity_from_stability(mean, stab), pc)
+    signs = ((np.arange(size, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
+    damp = params.rho ** pc.astype(np.float64)
+
+    def sensitivity(g: np.ndarray) -> np.ndarray:
+        coeffs = walsh(g) / size
+        return sensitivity_from_stability(coeffs[:, 0], (coeffs**2) @ damp)
+
+    return _oracle(params, r, pc, np.full(size, 1.0 / size), signs, sensitivity)
 
 
 def _oracle_anonymous(params: MechanismParams, r: float) -> OracleResult:
+    """Cells are the n+1 vote counts; monotonicity weights are (2m - n) C(n, m)."""
     n = params.n
-    count = 1 << (n + 1)
-    m = np.arange(n + 1, dtype=np.int64)
-    nu = 2 * m - n
-    w = binomial_weights(n)
+    mono = np.array([[(2 * m - n) * math.comb(n, m)] for m in range(n + 1)], dtype=np.int64)
     law = joint_count_distribution(n, params.delta)
-    # exact integer marginal-monotonicity weights: (2m - n) C(n, m)
-    mono_w = np.array([(2 * mm - n) * math.comb(n, mm) for mm in m], dtype=np.int64)
-    mean = np.empty(count)
-    efnu = np.empty(count)
-    ns = np.empty(count)
-    marg = np.empty(count, dtype=bool)
-    chunk = 1 << 14
-    for start in range(0, count, chunk):
-        ids = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        g = ((ids[:, None] >> m[None, :]) & 1).astype(np.float64)
-        mean[ids] = g @ w
-        efnu[ids] = g @ (w * nu)
-        marg[ids] = (g.astype(np.int64) @ mono_w) >= 0
-        ns[ids] = law.sensitivity(g)
-    return _finish_oracle(params, r, mean, efnu, marg, ns, m)
+    return _oracle(params, r, np.arange(n + 1, dtype=np.int64), binomial_weights(n), mono, law.sensitivity)
 
 
 def pareto_frontier(
@@ -418,13 +412,13 @@ def frontier_csv(points: Sequence[FrontierPoint]) -> str:
                                         p.revenue_normalized))] for p in points)
 
 
-def majority_curve_csv(points: Sequence[MajorityCurvePoint], b_column: float = 1.0) -> str:
+def majority_curve_csv(points: Sequence[MajorityCurvePoint]) -> str:
     """Majority curve in the shared schema.
 
     The r column carries the x-axis value R/sqrt(n); the b column is fixed
     at 1.0, the bias under which the revenue formula has no E[f] term, which
     is the term the curve drops as asymptotically negligible.
     """
-    return _csv(["finite" if math.isfinite(p.n) else "asymptotic", _fmt(p.n), _fmt(p.delta), _fmt(b_column),
+    return _csv(["finite" if math.isfinite(p.n) else "asymptotic", _fmt(p.n), _fmt(p.delta), "1",
                  _fmt(p.revenue_over_sqrt_n), "0", _fmt(p.ns), _fmt(p.surplus_per_capita),
                  _fmt(p.revenue_normalized)] for p in points)

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from noisemech import cli
+from noisemech import cli, hypercube
 from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
+from noisemech.gaussian import INV_SQRT_2PI
 from noisemech.noise import MAX_EXACT_COUNT_N
 
 MAJ_SPEC = "kind=threshold\nn=3\ntheta=0\n"
@@ -240,6 +242,57 @@ class TestJointLawReuse:
         out = capsys.readouterr().out
         assert "stability = " in out and "ns_exact = " in out
         assert calls == [(101, 0.1)]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls to module.name, patched in every noisemech namespace that holds it."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "noisemech" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestAnalyzeEvaluations:
+    """analyze reads (mean, E[f nu]) once and reuses the stability it computes."""
+
+    def test_dense_rule(self, tmp_path, monkeypatch, capsys):
+        values = np.random.default_rng(3).integers(0, 2, 1 << 10)
+        spec = tmp_path / "dense10.fn"
+        spec.write_text("kind=dense\nn=10\nvalues=" + ",".join(map(str, values)) + "\n")
+        walsh = _count_calls(monkeypatch, hypercube, "walsh")
+        mono = _count_calls(monkeypatch, hypercube, "monotonicity_check")
+        assert main(["analyze", "--spec", str(spec), "--delta", "0.1", "--b", "0.3"]) == 0
+        assert "ns_exact = " in capsys.readouterr().out
+        assert len(walsh) <= 3
+        assert len(mono) == 2
+
+    def test_threshold_rule(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "threshold201.fn"
+        spec.write_text("kind=threshold\nn=201\ntheta=5\n")
+        weights = _count_calls(monkeypatch, hypercube, "binomial_weights")
+        mono = _count_calls(monkeypatch, hypercube, "monotonicity_check")
+        assert main(["analyze", "--spec", str(spec), "--delta", "0.1", "--b", "0.3"]) == 0
+        assert "ns_exact = " in capsys.readouterr().out
+        assert len(weights) <= 3
+        assert len(mono) == 2
+
+
+class TestRevenueTargetRange:
+    """Both regimes accept targets up to 1/sqrt(2 pi) + 1e-12 and reject larger ones."""
+
+    @pytest.mark.parametrize("regime", ["finite", "asymptotic"])
+    def test_slack_is_shared(self, regime, capsys):
+        args = ["optimize", "--task", "surplus-max", "--n", "101", "--delta", "0.1", "--b", "1",
+                "--regime", regime, "--r"]
+        assert main(args + [repr(INV_SQRT_2PI + 5e-13)]) == 0
+        assert main(args + [repr(INV_SQRT_2PI + 2e-12)]) == 2
+        assert "r must be in (0, 1/sqrt(2 pi)]" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:

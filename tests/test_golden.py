@@ -56,6 +56,9 @@ CASES: dict[str, list[str]] = {
                             "--r", "0.25", "--regime", "asymptotic"],
     "revenue_max_b1_imperfect": ["optimize", "--task", "revenue-max", "--n", "301",
                                  *_econ(0.3, 1.0, "imperfect-knowledge")],
+    # 1-2 delta = 2e-13: ties are judged on normalized revenue, so this is nu = 1
+    "revenue_max_rho_to_zero_b1": ["optimize", "--task", "revenue-max", "--n", "101",
+                                   *_econ(0.4999999999999, 1.0)],
     # the anonymous oracle
     "ns_min_anonymous": ["optimize", "--task", "ns-min", "--n", "10", *_econ(0.2, 0.0), "--r", "0.2",
                          "--scope", "anonymous"],

@@ -1,12 +1,26 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from noisemech.hypercube import AnonymousFunction, DenseFunction, majority_function
+from noisemech.hypercube import (
+    AnonymousFunction,
+    DenseFunction,
+    half_split,
+    majority_function,
+    monotonicity_check,
+    popcounts,
+    threshold_function,
+)
 from noisemech.mechanism import (
+    SETTINGS,
+    ConstraintReport,
+    ConstraintRow,
+    InterimProfile,
     MechanismParams,
+    TransferSchedule,
     check_constraints,
     induced_interim_pair,
     interim_marginals,
@@ -356,6 +370,88 @@ class TestCheckConstraints:
         lines = text.strip().splitlines()
         assert lines[0] == "agent,constraint,lhs,rhs,slack,pass"
         assert len(lines) == 1 + 3 * 4
+
+
+def reference_constraint_rows(f, transfers, params, families):
+    """Constraint rows from a per-agent, per-family loop with each inequality written out."""
+    prof = interim_marginals(f, params)
+    lo_coef, hi_coef = params.value_coefs
+    d = params.delta
+    t = transfers.anonymous_expost
+
+    def contexts(i):
+        if isinstance(f, AnonymousFunction):
+            m = np.arange(f.n)
+            return f.g[m + 1], f.g[m], t[m + 1], t[m]
+        low, high = (half.ravel() for half in half_split(np.arange(1 << f.n), i))
+        pc = popcounts(f.n)
+        return f.values[high], f.values[low], t[pc[high]], t[pc[low]]
+
+    rows = []
+    for i in range(params.n):
+        fm, fp = prof.v_minus[i], prof.v_plus[i]
+        tm, tp = transfers.interim.v_minus[i], transfers.interim.v_plus[i]
+        for fam in families:
+            if fam == "bn-ic":
+                rows.append(ConstraintRow(i, "bn-ic-high", hi_coef * (fp - fm), tp - tm))
+                rows.append(ConstraintRow(i, "bn-ic-low", tp - tm, lo_coef * (fp - fm)))
+            elif fam == "iir" and params.setting == "imperfect-knowledge":
+                rows.append(ConstraintRow(i, "iir-high", hi_coef * fp, tp))
+                rows.append(ConstraintRow(i, "iir-low", lo_coef * fm, tm))
+            elif fam == "iir":
+                rows.append(ConstraintRow(i, "iir-high", hi_coef * ((1.0 - d) * fp + d * fm),
+                                          (1.0 - d) * tp + d * tm))
+                rows.append(ConstraintRow(i, "iir-low", lo_coef * (d * fp + (1.0 - d) * fm),
+                                          d * tp + (1.0 - d) * tm))
+            else:
+                fpv, fmv, tpv, tmv = contexts(i)
+                if fam == "ds-ic":
+                    pairs = (
+                        ("ds-ic-high", hi_coef * (fpv - fmv), tpv - tmv),
+                        ("ds-ic-low", tpv - tmv, lo_coef * (fpv - fmv)),
+                    )
+                else:
+                    pairs = (
+                        ("eir-high", hi_coef * ((1.0 - d) * fpv + d * fmv), (1.0 - d) * tpv + d * tmv),
+                        ("eir-low", lo_coef * (d * fpv + (1.0 - d) * fmv), d * tpv + (1.0 - d) * tmv),
+                    )
+                for name, lhs_v, rhs_v in pairs:
+                    worst = int(np.argmin(lhs_v - rhs_v))
+                    rows.append(ConstraintRow(i, name, float(lhs_v[worst]), float(rhs_v[worst])))
+    return rows
+
+
+class TestInequalityTable:
+    """check_constraints against the written-out reference loop, bit for bit."""
+
+    @staticmethod
+    def bits(rows):
+        return [(row.agent, row.constraint, struct.pack("<dd", row.lhs, row.rhs)) for row in rows]
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 251])
+    def test_rows_match_reference_loop(self, n, setting):
+        rng = np.random.default_rng(1000 + n)
+        rules = [threshold_function(n, 0.0), threshold_function(n, 1.0 - n), AnonymousFunction(n, rng.random(n + 1))]
+        if n <= 8:
+            rules += [DenseFunction(n, rng.random(1 << n)), DenseFunction(n, rng.integers(0, 2, 1 << n))]
+        families = ("bn-ic", "iir", "ds-ic", "eir") if setting == "noisy-report" else ("bn-ic", "iir")
+        for f in rules:
+            for b in ((0.0, 0.45, 1.0) if n <= 8 else (0.45,)):
+                p = MechanismParams(n, float(rng.uniform(0.01, 0.49)), b, setting)
+                t = rng.normal(size=n + 1)
+                tm, tp = induced_interim_pair(t)
+                schedules = [TransferSchedule(InterimProfile(np.full(n, tm), np.full(n, tp)), t, setting),
+                             TransferSchedule(InterimProfile(rng.normal(size=n), rng.normal(size=n)), None, setting)]
+                if f.is_boolean and monotonicity_check(f, "marginally-monotone"):
+                    schedules.append(optimal_interim_transfers(f, p))
+                for sched in schedules:
+                    fams = families if sched.anonymous_expost is not None else ("bn-ic", "iir")
+                    for which in (fams, fams[::-1]):
+                        got = check_constraints(f, sched, p, which)
+                        want = reference_constraint_rows(f, sched, p, which)
+                        assert self.bits(got.rows) == self.bits(want)
+                        assert got.to_csv() == ConstraintReport(tuple(want)).to_csv()
 
 
 class TestPropositions:

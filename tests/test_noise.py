@@ -200,7 +200,7 @@ class TestJointCountDistribution:
             assert np.allclose(joint.pmf, joint.pmf.T, atol=1e-12)
             binom = np.array([math.comb(n, m) for m in range(n + 1)], dtype=float) / 2**n
             assert np.allclose(joint.marginal_x(), binom, atol=1e-12)
-            assert np.allclose(joint.marginal_y(), binom, atol=1e-12)
+            assert np.allclose(joint.pmf.sum(axis=0), binom, atol=1e-12)
 
     @pytest.mark.parametrize("d", [0.0, 0.02, 0.1, 0.3, 0.5])
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 101, 257, 500])

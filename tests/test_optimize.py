@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from noisemech.gaussian import INV_SQRT_2PI, alpha_limit, ltf_ns_asymptotic
-from noisemech.hypercube import AnonymousFunction, monotonicity_check, threshold_function
-from noisemech.mechanism import MechanismParams
-from noisemech.noise import sensitivity_exact
+from noisemech.hypercube import AnonymousFunction, monotonicity_check, popcounts, threshold_function, walsh
+from noisemech.mechanism import SETTINGS, MechanismParams
+from noisemech.noise import sensitivity_exact, sensitivity_from_stability
 from noisemech.optimize import (
     InfeasibleTargetError,
+    OracleResult,
     majority_curve,
     majority_curve_csv,
     frontier_csv,
@@ -45,6 +46,14 @@ class TestRevenueMaxThreshold:
         assert res.tau_closed_form is None
         assert res.note is not None
         assert res.tau_pointwise == 0.0
+        assert res.finite_opt_nu == 1
+
+    def test_ties_judged_on_normalized_revenue(self):
+        # at 1-2 delta = 2e-13 every absolute revenue lies within the 1e-12 tie
+        # tolerance, while normalized revenue stays O(1)
+        res = revenue_max_threshold(MechanismParams(101, 0.4999999999999, b=0.0))
+        assert abs(res.finite_opt_revenue_normalized) <= 1e-11
+        res = revenue_max_threshold(MechanismParams(101, 0.4999999999999, b=1.0))
         assert res.finite_opt_nu == 1
 
     def test_finite_opt_matches_scan(self):
@@ -188,6 +197,53 @@ class TestNsMinBruteforce:
                 assert anon.min_ns >= dense.min_ns - 1e-12
                 assert anon.best_ltf_ns == pytest.approx(dense.best_ltf_ns, abs=1e-12)
                 assert anon.best_ltf_threshold == dense.best_ltf_threshold
+
+
+def reference_oracle_dense(params, r):
+    """The all-Boolean oracle as one block over all 2^(2^n) truth tables."""
+    n = params.n
+    size = 1 << n
+    count = 1 << size
+    pts = np.arange(size, dtype=np.int64)
+    pc = popcounts(n)
+    nu = 2 * pc - n
+    signs = (((pts[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1).astype(np.int64)
+    vals = ((np.arange(count, dtype=np.int64)[:, None] >> pts[None, :]) & 1).astype(np.int64)
+    marg = (vals @ signs >= 0).all(axis=1)
+    mean = vals.sum(axis=1) / size
+    efnu = (vals @ nu) / size
+    coeffs = walsh(vals.astype(np.float64)) / size
+    ns = sensitivity_from_stability(mean, (coeffs**2) @ (params.rho ** pc.astype(np.float64)))
+    revn = (params.rho * efnu + params.mean_coef * mean) / (params.rho * math.sqrt(params.n))
+    ltf_ids = [int(((pc >= j).astype(np.int64) << pts).sum()) for j in range(n + 1)]
+    feasible = marg & (revn >= r - 1e-12)
+    if not feasible.any():
+        return OracleResult(math.nan, (), 0, math.nan, math.nan, None)
+    min_ns = float(ns[feasible].min())
+    argmin = np.nonzero(feasible & (ns <= min_ns + 1e-12))[0]
+    feas_ltf = [(2 * j - n, float(ns[fid])) for j, fid in enumerate(ltf_ids) if feasible[fid]]
+    best_nu, best_ltf_ns = min(feas_ltf, key=lambda item: (item[1], item[0]))
+    return OracleResult(min_ns, tuple(int(i) for i in argmin), int(feasible.sum()),
+                        best_ltf_ns - min_ns, best_ltf_ns, best_nu)
+
+
+class TestOracleEnumeration:
+    """The chunked oracle against the one-block reference, field for field (repr is bit-exact)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_n_grid(self, n):
+        for setting in SETTINGS:
+            for delta in (0.01, 0.1, 0.2, 0.25, 0.3, 0.4, 0.49):
+                for b in (0.0, 0.3, 0.7, 1.0):
+                    params = MechanismParams(n, delta, b, setting)
+                    for r in (0.001, 0.05, 0.15, 0.25, 0.35, INV_SQRT_2PI):
+                        got = ns_min_bruteforce(params, r, "all-boolean")
+                        assert repr(got) == repr(reference_oracle_dense(params, r)), (params, r)
+
+    def test_n4_points(self):
+        for params, r in ((MechanismParams(4, 0.1, 0.0), 0.2),
+                          (MechanismParams(4, 0.25, 0.5, "imperfect-knowledge"), 0.1)):
+            assert repr(ns_min_bruteforce(params, r, "all-boolean")) == repr(reference_oracle_dense(params, r))
 
 
 class TestParetoFrontier:
