@@ -16,8 +16,9 @@ Example:
 import argparse
 
 from noisemech.cli import UsageError, parse_grid
+from noisemech.gaussian import MAX_REVENUE_TARGET
 from noisemech.mechanism import MechanismParams
-from noisemech.optimize import ns_min_bruteforce
+from noisemech.optimize import MAX_ORACLE_DENSE_N, ns_min_bruteforce
 
 
 def main() -> int:
@@ -29,27 +30,32 @@ def main() -> int:
     ap.add_argument("--setting", default="noisy-report",
                     choices=["noisy-report", "imperfect-knowledge"])
     args = ap.parse_args()
+    if not 1 <= args.n <= MAX_ORACLE_DENSE_N:
+        ap.error(f"--n must lie in [1, {MAX_ORACLE_DENSE_N}], got {args.n}")
     try:
         deltas, biases, r_values = (parse_grid(g) for g in (args.deltas, args.biases, args.r_grid))
-    except UsageError as exc:
+        economies = [MechanismParams(args.n, delta, b=b, setting=args.setting) for delta in deltas for b in biases]
+    except (UsageError, ValueError) as exc:
         ap.error(str(exc))
+    if not all(0.0 < r <= MAX_REVENUE_TARGET for r in r_values):
+        ap.error("--r-grid values must lie in (0, 1/sqrt(2 pi)]")
 
     print("delta,b,r,feasible_count,min_ns,best_ltf_ns,best_ltf_threshold,ltf_gap")
     worst = 0.0
-    for delta in deltas:
-        for b in biases:
-            params = MechanismParams(args.n, delta, b=b, setting=args.setting)
-            for r in r_values:
-                res = ns_min_bruteforce(params, r, "all-boolean")
-                if res.feasible_count == 0:
-                    print(f"{delta:.12g},{b:.12g},{r:.12g},0,nan,nan,,nan")
-                    continue
+    for params in economies:
+        delta, b = params.delta, params.b
+        for r in r_values:
+            res = ns_min_bruteforce(params, r, "all-boolean")
+            if res.feasible_count == 0:
+                print(f"{delta:.12g},{b:.12g},{r:.12g},0,nan,nan,,nan")
+                continue
+            if res.best_ltf_threshold is not None:  # else no cutoff is feasible and the gap is nan
                 worst = max(worst, res.ltf_gap)
-                print(
-                    f"{delta:.12g},{b:.12g},{r:.12g},{res.feasible_count},"
-                    f"{res.min_ns:.12g},{res.best_ltf_ns:.12g},"
-                    f"{res.best_ltf_threshold},{res.ltf_gap:.12g}"
-                )
+            print(
+                f"{delta:.12g},{b:.12g},{r:.12g},{res.feasible_count},"
+                f"{res.min_ns:.12g},{res.best_ltf_ns:.12g},"
+                f"{'' if res.best_ltf_threshold is None else res.best_ltf_threshold},{res.ltf_gap:.12g}"
+            )
     print(f"# worst gap: {worst:.12g}")
     return 0
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from noisemech.gaussian import INV_SQRT_2PI
 from noisemech.mechanism import MechanismParams
+from noisemech.noise import MAX_EXACT_COUNT_N
 from noisemech.optimize import frontier_csv, majority_curve, majority_curve_csv, pareto_frontier
 
 
@@ -27,6 +28,12 @@ def main() -> int:
     ap.add_argument("--delta-step", type=float, default=0.01)
     ap.add_argument("--r-points", type=int, default=60)
     args = ap.parse_args()
+    if not 1 <= args.n <= MAX_EXACT_COUNT_N:
+        ap.error(f"--n must lie in [1, {MAX_EXACT_COUNT_N}], got {args.n}")
+    if not 0.0 < args.delta_step <= 0.5:
+        ap.error(f"--delta-step must lie in (0, 0.5], got {args.delta_step}")
+    if args.r_points < 1:
+        ap.error(f"--r-points must be >= 1, got {args.r_points}")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

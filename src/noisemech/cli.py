@@ -196,11 +196,10 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     dense_view = f if isinstance(f, hypercube.DenseFunction) else None
     if dense_view is None and f.n <= hypercube.MAX_DENSE_N:
         dense_view = f.to_dense()
-    if dense_view is not None:
+    if dense_view is not None:  # one transform serves the spectral lines and the dense stability
         spectrum = hypercube.fourier_transform(dense_view)
-        degw = spectrum.weight_by_degree()
-        lines.append("spectral_weight_by_degree = " + ",".join(_fmt(v) for v in degw))
-        lines.append("influences = " + ",".join(_fmt(v) for v in hypercube.influences(dense_view)))
+        lines.append("spectral_weight_by_degree = " + ",".join(_fmt(v) for v in spectrum.weight_by_degree()))
+        lines.append("influences = " + ",".join(_fmt(v) for v in spectrum.influences()))
     revenue = params.revenue_index(mean, efnu)
     lines.append(f"revenue_{params.setting.replace('-', '_')} = {_fmt(revenue)}")
     lines.append(f"revenue_{alt.replace('-', '_')} = {_fmt(params_alt.revenue_index(mean, efnu))}")
@@ -212,11 +211,11 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         exact_ok = isinstance(f, hypercube.DenseFunction) or f.n <= noise.MAX_EXACT_COUNT_N
         if exact_ok:
             if isinstance(f, hypercube.DenseFunction):
-                stab, mean_x = noise.stability_exact(f, cfg.delta), mean
+                stab = spectrum.stability(1.0 - 2.0 * cfg.delta)
+                ns_value = noise.sensitivity_from_stability(mean, stab)
             else:  # one joint-law build serves both lines
                 law = noise.joint_count_distribution(f.n, cfg.delta)
-                stab, mean_x = law.stability(f.g), law.mean(f.g)
-            ns_value = noise.sensitivity_from_stability(mean_x, stab)
+                stab, ns_value = law.stability(f.g), law.sensitivity(f.g)
             lines.append(f"stability = {_fmt(stab)}")
             lines.append(f"ns_exact = {_fmt(ns_value)}")
         else:
@@ -292,7 +291,7 @@ def _cmd_optimize(cfg: RunConfig) -> int:
         lines.append(f"argmin_count = {len(res.argmin_functions)}")
         lines.append("argmin_functions = " + ",".join(str(i) for i in res.argmin_functions[:16]))
         lines.append(f"best_ltf_ns = {_fmt(res.best_ltf_ns)}")
-        lines.append(f"best_ltf_threshold = {res.best_ltf_threshold}")
+        lines.append(f"best_ltf_threshold = {'nan' if res.best_ltf_threshold is None else res.best_ltf_threshold}")
         lines.append(f"ltf_gap = {_fmt(res.ltf_gap)}")
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
@@ -327,8 +326,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
             if res.feasible_count == 0:
                 lines.append(f"{_fmt(r)},0,nan,nan,nan,true")
                 continue
-            sandwich = res.min_ns <= res.best_ltf_ns + 1e-12
-            ok &= sandwich and res.ltf_gap <= 0.06
+            no_cutoff = res.best_ltf_threshold is None  # both checks hold vacuously
+            sandwich = no_cutoff or res.min_ns <= res.best_ltf_ns + 1e-12
+            ok &= sandwich and (no_cutoff or res.ltf_gap <= 0.06)
             lines.append(
                 f"{_fmt(r)},{res.feasible_count},{_fmt(res.min_ns)},"
                 f"{_fmt(res.best_ltf_ns)},{_fmt(res.ltf_gap)},{str(sandwich).lower()}"

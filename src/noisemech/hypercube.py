@@ -155,6 +155,15 @@ class FourierSpectrum:
         pc = popcounts(self.n)
         return np.bincount(pc, weights=self.coeffs**2, minlength=self.n + 1)
 
+    def influences(self) -> np.ndarray:
+        """Squared coefficient mass over the sets containing each coordinate 0..n-1."""
+        c2 = self.coeffs**2
+        return np.array([half_split(c2, i)[1].sum() for i in range(self.n)])
+
+    def stability(self, rho: float) -> float:
+        """sum_S rho^|S| coeffs[S]^2 = E[f(x) f(y)] for rho-correlated x and y."""
+        return float(np.dot(rho ** popcounts(self.n).astype(np.float64), self.coeffs**2))
+
 
 @dataclass(frozen=True, eq=False)
 class AnonymousFunction:
@@ -229,8 +238,7 @@ def influence(f: DenseFunction, i: int) -> float:
 
 def influences(f: DenseFunction) -> np.ndarray:
     """All n coordinate influences in one transform."""
-    c2 = fourier_transform(f).coeffs ** 2
-    return np.array([half_split(c2, i)[1].sum() for i in range(f.n)])
+    return fourier_transform(f).influences()
 
 
 def _degree1_sums(values: np.ndarray) -> np.ndarray:

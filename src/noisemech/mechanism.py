@@ -384,13 +384,15 @@ def check_constraints(
     for fam in families:
         if fam not in _EXPOST_FAMILIES:
             ineqs = _inequalities(fam, params, prof.v_plus, prof.v_minus, sched.v_plus, sched.v_minus)
-        else:
-            worst = np.empty((2, 2, params.n))  # (high/low, lhs/rhs, agent)
-            for i in range(params.n):
+        else:  # an anonymous rule gives every agent the same contexts: evaluate agent 0 only
+            agents = 1 if isinstance(f, AnonymousFunction) else params.n
+            worst = np.empty((2, 2, agents))  # (high/low, lhs/rhs, agent)
+            for i in range(agents):
                 ineqs = _inequalities(fam, params, *_expost_context_values(f, transfers.anonymous_expost, i))
                 for k, (_, lhs, rhs) in enumerate(ineqs):
                     j = np.argmin(lhs - rhs)
                     worst[k, :, i] = lhs[j], rhs[j]
+            worst = np.broadcast_to(worst, (2, 2, params.n))
             ineqs = [(name, *worst[k]) for k, (name, _, _) in enumerate(ineqs)]
         columns[fam] = [(name, lhs.tolist(), rhs.tolist()) for name, lhs, rhs in ineqs]
     return ConstraintReport(tuple(ConstraintRow(i, name, lhs[i], rhs[i]) for i in range(params.n)

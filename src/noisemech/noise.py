@@ -54,26 +54,14 @@ class JointCountDistribution:
     delta: float
     pmf: np.ndarray
 
-    def marginal_x(self) -> np.ndarray:
-        return self.pmf.sum(axis=1)
-
-    def suffix_mass(self) -> np.ndarray:
-        """S[j, k] = P(m_x >= j, m_y >= k); used for threshold stabilities."""
-        return self.pmf[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
-
-    def mean(self, g: np.ndarray):
-        """g . P 1 = E[g(m_x)] for one count-indexed rule g, or one per row of g."""
-        return g @ self.marginal_x()
-
-    def stability(self, g: np.ndarray):
-        """g' P g = E[g(m_x) g(m_y)] for one count-indexed rule g, or one per row of g."""
-        if g.ndim == 1:
-            return float(g @ self.pmf @ g)
-        return np.einsum("ij,jk,ik->i", g, self.pmf, g)
+    def stability(self, g: np.ndarray) -> float:
+        """g' P g = E[g(m_x) g(m_y)] for one count-indexed rule g."""
+        return float(g @ self.pmf @ g)
 
     def sensitivity(self, g: np.ndarray):
-        """Noise sensitivity 2 (g . P 1 - g' P g) of Boolean rules g, both terms from this law."""
-        return sensitivity_from_stability(self.mean(g), self.stability(g))
+        """P(g(m_x) != g(m_y)) = 2 g' P (1 - g) by symmetry, for a Boolean g or each row; positive terms only."""
+        ns = 2.0 * ((g @ self.pmf) * (1.0 - g)).sum(axis=-1)
+        return float(ns) if ns.ndim == 0 else ns
 
 
 def sensitivity_from_stability(mean, stab):
@@ -127,17 +115,12 @@ def stability_exact(f: HypercubeFunction, delta: float) -> float:
     """
     _check_delta(delta)
     if isinstance(f, DenseFunction):
-        c = fourier_transform(f).coeffs
-        w = (1.0 - 2.0 * delta) ** popcounts(f.n).astype(np.float64)
-        return float(np.dot(w, c**2))
+        return fourier_transform(f).stability(1.0 - 2.0 * delta)
     return joint_count_distribution(f.n, delta).stability(f.g)
 
 
 def sensitivity_exact(f: HypercubeFunction, delta: float) -> float:
-    """P(f(x) != f(y)) = 2 (E[f] - Stab) for Boolean-valued f.
-
-    Anonymous rules take both terms from the joint count law.
-    """
+    """P(f(x) != f(y)) for Boolean f: 2 (E[f] - Stab) if dense, the count law's crossing mass if anonymous."""
     _check_sensitivity_args(f, delta)
     if isinstance(f, DenseFunction):
         return sensitivity_from_stability(f.mean(), stability_exact(f, delta))

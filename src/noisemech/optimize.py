@@ -67,8 +67,9 @@ class OracleResult:
     `argmin_functions` are truth-table bitmask identifiers (over the 2^n
     points for scope="all-boolean", over the n+1 counts for
     scope="anonymous"), sorted ascending. `ltf_gap` is the best feasible
-    threshold rule's noise sensitivity minus the global minimum; infeasible
-    targets are reported with feasible_count = 0, not raised.
+    threshold rule's noise sensitivity minus the global minimum (nan/None in
+    all three cutoff fields when no cutoff is feasible); infeasible targets
+    are reported with feasible_count = 0, not raised.
     """
 
     min_ns: float
@@ -110,11 +111,11 @@ def threshold_table(params: MechanismParams) -> ThresholdTable:
 def threshold_ns_table(n: int, delta: float) -> np.ndarray:
     """Exact noise sensitivity of every cutoff rule g = 1{m >= j}, j = 0..n.
 
-    The law's two terms in O(n^2): g . P 1 is a suffix sum of the x-marginal
-    and g' P g is the diagonal of the suffix mass.
+    NS[j] = 2 P(m_x >= j, m_y < j), the law's crossing mass, in O(n^2) from
+    one row-prefix cumsum: below[i, j-1] = P(m_x = i, m_y < j), kept for i >= j.
     """
-    law = joint_count_distribution(n, delta)
-    return sensitivity_from_stability(law.marginal_x()[::-1].cumsum()[::-1], np.diag(law.suffix_mass()))
+    below = np.tril(joint_count_distribution(n, delta).pmf[:, :-1].cumsum(axis=1), -1)
+    return np.append(0.0, 2.0 * below.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -278,17 +279,20 @@ def _oracle(params: MechanismParams, r: float, counts: np.ndarray, weights: np.n
         efnu[ids] = g @ nu_weights
         ns[ids] = sensitivity(g)
     revn = params.normalize(params.revenue_index(mean, efnu))
-    ltf_ids = [int(((counts >= j).astype(np.int64) << bits).sum()) for j in range(params.n + 1)]
     feasible = marg & (revn >= r - _FEAS_TOL)
     feasible_count = int(feasible.sum())
     if feasible_count == 0:
         return OracleResult(math.nan, (), 0, math.nan, math.nan, None)
     min_ns = float(ns[feasible].min())
-    argmin = np.nonzero(feasible & (ns <= min_ns + 1e-12))[0]
-    feas_ltf = [(2 * j - params.n, float(ns[fid])) for j, fid in enumerate(ltf_ids) if feasible[fid]]
-    best_nu, best_ltf_ns = min(feas_ltf, key=lambda item: (item[1], item[0]))
-    return OracleResult(min_ns, tuple(int(i) for i in argmin), feasible_count,
-                        best_ltf_ns - min_ns, best_ltf_ns, best_nu)
+    argmin = tuple(int(i) for i in np.nonzero(feasible & (ns <= min_ns + _FEAS_TOL))[0])
+    ltf_ids = np.array([((counts >= j).astype(np.int64) << bits).sum() for j in range(params.n + 1)])
+    feas_j = np.nonzero(feasible[ltf_ids])[0]  # cutoffs 1{m >= j} that meet the floor
+    if feas_j.size == 0:
+        return OracleResult(min_ns, argmin, feasible_count, math.nan, math.nan, None)
+    ltf_ns = ns[ltf_ids[feas_j]]
+    best_ltf_ns = float(ltf_ns.min())
+    best_j = int(feas_j[ltf_ns <= best_ltf_ns + _FEAS_TOL][0])  # mirror cutoffs tie: take the smallest
+    return OracleResult(min_ns, argmin, feasible_count, best_ltf_ns - min_ns, best_ltf_ns, 2 * best_j - params.n)
 
 
 def _oracle_dense(params: MechanismParams, r: float) -> OracleResult:

@@ -124,6 +124,12 @@ class TestOptimizeCommand:
         assert main(["optimize", "--task", "ns-min", "--n", "2", "--delta", "0.1",
                      "--r", "0.39"]) == 1
 
+    def test_ns_min_without_feasible_cutoff(self, capsys):
+        assert main(["optimize", "--task", "ns-min", "--n", "1", "--delta", "0.4", "--b", "0",
+                     "--r", "1e-13"]) == 0
+        out = capsys.readouterr().out
+        assert "best_ltf_ns = nan\nbest_ltf_threshold = nan\nltf_gap = nan\n" in out
+
     def test_min_bias(self, capsys):
         assert main(["optimize", "--task", "min-bias", "--n", "100", "--delta", "0.1",
                      "--b", "0.5", "--r", "0.3"]) == 0
@@ -183,6 +189,11 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.startswith("r,feasible_count,min_ns,best_ltf_ns,ltf_gap,sandwich_ok")
         assert "suite_pass = true" in out
+
+    def test_oracle_without_feasible_cutoff_is_vacuous(self, capsys):
+        assert main(["verify", "--suite", "oracle-n2", "--delta", "0.4", "--b", "0", "--r-grid", "1e-13"]) == 0
+        out = capsys.readouterr().out
+        assert "1e-13,1,0,nan,nan,true\n" in out and "suite_pass = true" in out
 
     def test_oracle_n4_gap_table(self, capsys):
         assert main(["verify", "--suite", "oracle-n4", "--delta", "0.1", "--b", "0"]) == 0
@@ -259,18 +270,27 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestAnalyzeEvaluations:
-    """analyze reads (mean, E[f nu]) once and reuses the stability it computes."""
+    """analyze reads (mean, E[f nu]) once and transforms a dense table once."""
 
-    def test_dense_rule(self, tmp_path, monkeypatch, capsys):
-        values = np.random.default_rng(3).integers(0, 2, 1 << 10)
-        spec = tmp_path / "dense10.fn"
-        spec.write_text("kind=dense\nn=10\nvalues=" + ",".join(map(str, values)) + "\n")
+    def _walsh_calls(self, spec_text, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "rule.fn"
+        spec.write_text(spec_text + "\n")
         walsh = _count_calls(monkeypatch, hypercube, "walsh")
         mono = _count_calls(monkeypatch, hypercube, "monotonicity_check")
         assert main(["analyze", "--spec", str(spec), "--delta", "0.1", "--b", "0.3"]) == 0
-        assert "ns_exact = " in capsys.readouterr().out
-        assert len(walsh) <= 3
+        out = capsys.readouterr().out
+        assert "influences = " in out and "ns_exact = " in out
         assert len(mono) == 2
+        return len(walsh)
+
+    def test_dense_rule(self, tmp_path, monkeypatch, capsys):
+        values = np.random.default_rng(3).integers(0, 2, 1 << 10)
+        spec_text = "kind=dense\nn=10\nvalues=" + ",".join(map(str, values))
+        assert self._walsh_calls(spec_text, tmp_path, monkeypatch, capsys) == 1
+
+    def test_anonymous_rule_at_dense_size(self, tmp_path, monkeypatch, capsys):
+        spec_text = "kind=anonymous\nn=12\ng=0,0,0,0,0,0,1,0,1,1,1,1,1"
+        assert self._walsh_calls(spec_text, tmp_path, monkeypatch, capsys) == 1
 
     def test_threshold_rule(self, tmp_path, monkeypatch, capsys):
         spec = tmp_path / "threshold201.fn"

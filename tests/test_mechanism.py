@@ -454,6 +454,23 @@ class TestInequalityTable:
                         assert got.to_csv() == ConstraintReport(tuple(want)).to_csv()
 
 
+def test_expost_families_evaluated_once_per_anonymous_rule(monkeypatch):
+    # every agent of an anonymous rule sees the same contexts, so each family is one evaluation
+    from noisemech import mechanism
+
+    calls, original = [], mechanism._inequalities
+
+    def counting(fam, *args):
+        calls.append(fam)
+        return original(fam, *args)
+
+    monkeypatch.setattr(mechanism, "_inequalities", counting)
+    f, p = threshold_function(251, 3.0), MechanismParams(251, 0.2, 0.4)
+    report = check_constraints(f, optimal_interim_transfers(f, p), p, ("ds-ic", "eir"))
+    assert calls == ["ds-ic", "eir"]
+    assert len(report.rows) == 4 * 251 and len({(r.constraint, r.lhs, r.rhs) for r in report.rows}) == 4
+
+
 class TestPropositions:
     def test_noise_monotonicity_of_implementability(self):
         # mechanisms feasible at delta stay feasible at smaller delta

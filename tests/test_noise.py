@@ -199,7 +199,7 @@ class TestJointCountDistribution:
             assert abs(joint.pmf.sum() - 1.0) <= 1e-10
             assert np.allclose(joint.pmf, joint.pmf.T, atol=1e-12)
             binom = np.array([math.comb(n, m) for m in range(n + 1)], dtype=float) / 2**n
-            assert np.allclose(joint.marginal_x(), binom, atol=1e-12)
+            assert np.allclose(joint.pmf.sum(axis=1), binom, atol=1e-12)
             assert np.allclose(joint.pmf.sum(axis=0), binom, atol=1e-12)
 
     @pytest.mark.parametrize("d", [0.0, 0.02, 0.1, 0.3, 0.5])
@@ -212,13 +212,27 @@ class TestJointCountDistribution:
                             lambda n, d: JointCountDistribution(n, d, dp))
         assert np.abs(ns - optimize.threshold_ns_table(n, d)).max() <= 1e-13
 
+    @pytest.mark.parametrize("d", [0.0, 0.02, 0.1, 0.3, 0.49, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 40, 101, 257, 500])
+    def test_crossing_mass_matches_longdouble(self, n, d):
+        # NS = 2 P(g(m_x) = 1, g(m_y) = 0), summed over the same pmf in extended precision
+        law = joint_count_distribution(n, d)
+        pmf = law.pmf.astype(np.longdouble)
+        corner = pmf[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)  # P(m_x >= j, m_y <= k)
+        want = 2 * np.append(0, np.diagonal(corner, -1))
+        assert np.abs(optimize.threshold_ns_table(n, d) - want).max() <= 1e-15
+        rng = np.random.default_rng(n)
+        rules = (rng.random((16, n + 1)) < rng.random((16, 1))).astype(np.float64)
+        want = 2 * ((rules.astype(np.longdouble) @ pmf) * (1 - rules)).sum(axis=1)
+        assert np.abs(law.sensitivity(rules) - want).max() <= 2e-15
+
     def test_largest_exact_size(self):
         n = MAX_EXACT_COUNT_N
         joint = joint_count_distribution(n, 0.1)
         assert abs(joint.pmf.sum() - 1.0) <= 1e-12
         binom = np.array([math.comb(n, m) / 2**n for m in range(n + 1)])
         cells = binom > 1e-300
-        assert np.abs(joint.marginal_x()[cells] / binom[cells] - 1.0).max() <= 1e-12
+        assert np.abs(joint.pmf.sum(axis=1)[cells] / binom[cells] - 1.0).max() <= 1e-12
 
     def test_rejects_over_limit(self):
         with pytest.raises(ValueError):

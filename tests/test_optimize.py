@@ -143,6 +143,19 @@ class TestNsMinBruteforce:
         assert res.ltf_gap == pytest.approx(0.0, abs=1e-12)
         assert res.best_ltf_threshold == 2
 
+    @pytest.mark.parametrize("scope", ["all-boolean", "anonymous"])
+    def test_mirror_cutoffs_tie_to_smallest_threshold(self, scope):
+        # OR and AND of two votes have one noise sensitivity; the smaller cutoff wins the tie
+        res = ns_min_bruteforce(MechanismParams(2, 0.2, b=0.3), 0.001, scope)
+        assert res.best_ltf_threshold == 0
+        assert res.best_ltf_ns == pytest.approx(0.18, abs=1e-12)
+
+    def test_no_feasible_cutoff(self):
+        # only the all-zero rule reaches r = 1e-13: every cutoff's revenue is negative
+        res = ns_min_bruteforce(MechanismParams(1, 0.4, b=0.0), 1e-13, "all-boolean")
+        assert (res.feasible_count, res.min_ns, res.argmin_functions) == (1, 0.0, (0,))
+        assert math.isnan(res.best_ltf_ns) and math.isnan(res.ltf_gap) and res.best_ltf_threshold is None
+
     def test_n2_anonymous_scope_agrees(self):
         res = ns_min_bruteforce(MechanismParams(2, 0.1, b=0.0), self.R_N2, "anonymous")
         assert res.feasible_count == 1
@@ -222,7 +235,8 @@ def reference_oracle_dense(params, r):
     min_ns = float(ns[feasible].min())
     argmin = np.nonzero(feasible & (ns <= min_ns + 1e-12))[0]
     feas_ltf = [(2 * j - n, float(ns[fid])) for j, fid in enumerate(ltf_ids) if feasible[fid]]
-    best_nu, best_ltf_ns = min(feas_ltf, key=lambda item: (item[1], item[0]))
+    best_ltf_ns = min(v for _, v in feas_ltf)
+    best_nu = min(nu for nu, v in feas_ltf if v <= best_ltf_ns + 1e-12)
     return OracleResult(min_ns, tuple(int(i) for i in argmin), int(feasible.sum()),
                         best_ltf_ns - min_ns, best_ltf_ns, best_nu)
 

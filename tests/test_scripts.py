@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from noisemech.optimize import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +47,23 @@ def test_oracle_gap_table_rejects_bad_grid(tmp_path):
     proc = _run("oracle_gap_table.py", "--r-grid", "0.1:inf:0.1", cwd=tmp_path)
     assert proc.returncode == 2
     assert "must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("oracle_gap_table.py", ["--n", "5"], "--n must lie in [1, 4]"),
+    ("oracle_gap_table.py", ["--n", "0"], "--n must lie in [1, 4]"),
+    ("oracle_gap_table.py", ["--deltas", "0.6"], "delta must lie in the open interval"),
+    ("oracle_gap_table.py", ["--r-grid=-0.5,0.1"], "--r-grid values must lie in (0, 1/sqrt(2 pi)]"),
+    ("reproduce_figures.py", ["--n", "0"], "--n must lie in [1, 2000]"),
+    ("reproduce_figures.py", ["--delta-step", "0"], "--delta-step must lie in (0, 0.5]"),
+    ("reproduce_figures.py", ["--delta-step", "-0.1"], "--delta-step must lie in (0, 0.5]"),
+    ("reproduce_figures.py", ["--r-points", "0"], "--r-points must be >= 1"),
+])
+def test_scripts_reject_bad_input(tmp_path, script, args, message):
+    proc = _run(script, *args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_benchmark_self_test():
