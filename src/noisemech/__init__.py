@@ -33,7 +33,6 @@ from .noise import (
 from .gaussian import (
     alpha_limit,
     binormal_cdf,
-    gaussian_scalar,
     ltf_ns_asymptotic,
     majority_asymptotics,
     norm_cdf,

@@ -196,7 +196,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     dense_view = f if isinstance(f, hypercube.DenseFunction) else None
     if dense_view is None and f.n <= hypercube.MAX_DENSE_N:
         dense_view = f.to_dense()
-    if dense_view is not None:  # one transform serves the spectral lines and the dense stability
+    if dense_view is not None:  # one transform serves the spectral lines and the dense stability and NS
         spectrum = hypercube.fourier_transform(dense_view)
         lines.append("spectral_weight_by_degree = " + ",".join(_fmt(v) for v in spectrum.weight_by_degree()))
         lines.append("influences = " + ",".join(_fmt(v) for v in spectrum.influences()))
@@ -212,7 +212,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         if exact_ok:
             if isinstance(f, hypercube.DenseFunction):
                 stab = spectrum.stability(1.0 - 2.0 * cfg.delta)
-                ns_value = noise.sensitivity_from_stability(mean, stab)
+                ns_value = hypercube.spectral_sensitivity(spectrum.coeffs, cfg.delta)
             else:  # one joint-law build serves both lines
                 law = noise.joint_count_distribution(f.n, cfg.delta)
                 stab, ns_value = law.stability(f.g), law.sensitivity(f.g)

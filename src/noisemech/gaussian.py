@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import sensitivity_from_stability
-
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
 MAX_REVENUE_TARGET = INV_SQRT_2PI + 1e-12  # the largest r accepted: feasibility's 1e-12 slack above the limit
@@ -63,19 +61,6 @@ def norm_quantile(p: float) -> float:
             return nxt
         x = nxt
     return x
-
-
-def gaussian_scalar(kind: str, arg: float) -> float:
-    """Dispatch for the four scalar operations: pdf, cdf, ccdf, quantile."""
-    if kind == "pdf":
-        return norm_pdf(arg)
-    if kind == "cdf":
-        return norm_cdf(arg)
-    if kind == "ccdf":
-        return norm_ccdf(arg)
-    if kind == "quantile":
-        return norm_quantile(arg)
-    raise ValueError(f"unknown scalar kind: {kind!r}")
 
 
 def phi_inv_plus(r: float) -> float:
@@ -125,25 +110,32 @@ class MajorityAsymptotics(NamedTuple):
 def majority_asymptotics(delta: float, n: int) -> MajorityAsymptotics:
     """Large-n behavior of the simple majority rule.
 
-    Noise sensitivity tends to arccos(1-2 delta)/pi; expected revenue grows
-    like (1-2 delta) sqrt(n / 2 pi), i.e. normalized revenue 1/sqrt(2 pi).
+    Noise sensitivity tends to arccos(1-2 delta)/pi, taken as
+    2 atan2(sqrt(delta), sqrt(1-delta))/pi: no cancellation at small delta, and
+    exact at delta = 0 and 1/2. Expected revenue grows like
+    (1-2 delta) sqrt(n / 2 pi), i.e. normalized revenue 1/sqrt(2 pi).
     """
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
-    ns = math.acos(1.0 - 2.0 * delta) / math.pi
+    ns = 2.0 * math.atan2(math.sqrt(delta), math.sqrt(1.0 - delta)) / math.pi
     return MajorityAsymptotics(ns, (1.0 - 2.0 * delta) * math.sqrt(n / (2.0 * math.pi)), INV_SQRT_2PI)
 
 
 def ltf_ns_asymptotic(r: float, delta: float) -> float:
     """Limiting noise sensitivity of the threshold rules raising normalized revenue r.
 
-    Both optimal cutoffs -phi_inv(r) and +phi_inv(r) share the value
-    2 {Phi(-t) - Phi_rho(-t, -t)} with t = phi_inv(r) and rho = 1 - 2 delta.
+    Both optimal cutoffs -phi_inv(r) and +phi_inv(r) share the crossing mass
+    2 P(Z1 <= -t < Z2) = (1/pi) int_{asin rho}^{pi/2} exp(-t^2 / (1 + sin theta)) d theta
+    with t = phi_inv(r) and rho = 1 - 2 delta, a positive integrand. The interval
+    has length acos(rho) = 2 asin(sqrt(delta)), taken in that form so no
+    cancellation enters; the substitution phi = pi/2 - theta runs it from 0.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     t = phi_inv_plus(r)
-    return sensitivity_from_stability(norm_cdf(-t), binormal_cdf(-t, -t, 1.0 - 2.0 * delta))
+    half = math.asin(math.sqrt(delta))
+    phi = half * (_GL_NODES + 1.0)
+    return half * float(np.dot(_GL_WEIGHTS, np.exp(-t * t / (1.0 + np.cos(phi))))) / math.pi
 
 
 def alpha_limit(r: float) -> float:

@@ -165,6 +165,18 @@ class FourierSpectrum:
         return float(np.dot(rho ** popcounts(self.n).astype(np.float64), self.coeffs**2))
 
 
+def spectral_sensitivity(coeffs: np.ndarray, delta: float):
+    """P(f(x) != f(y)) = 2 sum_S (1 - rho^|S|) coeffs[S]^2 for Boolean f, along the last axis.
+
+    rho = 1 - 2 delta, and 1 - rho^k is summed as 2 delta (1 + rho + ... + rho^(k-1)):
+    positive terms only, exact at delta = 0 and delta = 1/2. Takes one spectrum or a batch of rows.
+    """
+    n = coeffs.shape[-1].bit_length() - 1
+    damp = 2.0 * delta * np.append(0.0, np.cumsum((1.0 - 2.0 * delta) ** np.arange(n)))
+    ns = 2.0 * ((coeffs**2) @ damp[popcounts(n)])
+    return float(ns) if ns.ndim == 0 else ns
+
+
 @dataclass(frozen=True, eq=False)
 class AnonymousFunction:
     """A function of the vote count m = #{i : x_i = +1}, values in [0, 1].

@@ -26,6 +26,7 @@ from .hypercube import (
     fourier_transform,
     inverse_fourier,
     popcounts,
+    spectral_sensitivity,
 )
 
 # The joint law costs O(n^3) time and O(n^2) memory; beyond this the CLI
@@ -62,12 +63,6 @@ class JointCountDistribution:
         """P(g(m_x) != g(m_y)) = 2 g' P (1 - g) by symmetry, for a Boolean g or each row; positive terms only."""
         ns = 2.0 * ((g @ self.pmf) * (1.0 - g)).sum(axis=-1)
         return float(ns) if ns.ndim == 0 else ns
-
-
-def sensitivity_from_stability(mean, stab):
-    """P(f(x) != f(y)) = 2 (E[f] - Stab) for Boolean f, clipped to [0, 1]."""
-    ns = np.clip(2.0 * (np.asarray(mean) - stab), 0.0, 1.0)
-    return float(ns) if ns.ndim == 0 else ns
 
 
 def joint_count_distribution(n: int, delta: float) -> JointCountDistribution:
@@ -120,10 +115,10 @@ def stability_exact(f: HypercubeFunction, delta: float) -> float:
 
 
 def sensitivity_exact(f: HypercubeFunction, delta: float) -> float:
-    """P(f(x) != f(y)) for Boolean f: 2 (E[f] - Stab) if dense, the count law's crossing mass if anonymous."""
+    """P(f(x) != f(y)) for Boolean f: the spectral crossing sum if dense, the count law's crossing mass if anonymous."""
     _check_sensitivity_args(f, delta)
     if isinstance(f, DenseFunction):
-        return sensitivity_from_stability(f.mean(), stability_exact(f, delta))
+        return spectral_sensitivity(fourier_transform(f).coeffs, delta)
     return joint_count_distribution(f.n, delta).sensitivity(f.g)
 
 

@@ -22,9 +22,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import gaussian
-from .hypercube import binomial_weights, popcounts, walsh
+from .hypercube import MAX_ANONYMOUS_N, binomial_weights, popcounts, spectral_sensitivity, walsh
 from .mechanism import MechanismParams
-from .noise import MAX_EXACT_COUNT_N, joint_count_distribution, sensitivity_from_stability
+from .noise import MAX_EXACT_COUNT_N, joint_count_distribution
 
 MAX_ORACLE_DENSE_N = 4
 MAX_ORACLE_ANONYMOUS_N = 20
@@ -99,6 +99,8 @@ class ThresholdTable:
 
 
 def threshold_table(params: MechanismParams) -> ThresholdTable:
+    if params.n > MAX_ANONYMOUS_N:
+        raise ValueError(f"cutoff tables limited to n <= {MAX_ANONYMOUS_N}, got {params.n}")
     w = binomial_weights(params.n)
     nu = 2.0 * np.arange(params.n + 1) - params.n
     mean = w[::-1].cumsum()[::-1]
@@ -301,11 +303,9 @@ def _oracle_dense(params: MechanismParams, r: float) -> OracleResult:
     size = 1 << n
     pc = popcounts(n)
     signs = ((np.arange(size, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
-    damp = params.rho ** pc.astype(np.float64)
 
     def sensitivity(g: np.ndarray) -> np.ndarray:
-        coeffs = walsh(g) / size
-        return sensitivity_from_stability(coeffs[:, 0], (coeffs**2) @ damp)
+        return spectral_sensitivity(walsh(g) / size, params.delta)
 
     return _oracle(params, r, pc, np.full(size, 1.0 / size), signs, sensitivity)
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from noisemech import cli, hypercube
+from noisemech import cli, hypercube, optimize
 from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
 from noisemech.gaussian import INV_SQRT_2PI
 from noisemech.noise import MAX_EXACT_COUNT_N
@@ -119,6 +119,12 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert "tau_pointwise = 0.625" in out
         assert "finite_opt_nu = 1" in out
+
+    def test_revenue_max_size_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ANONYMOUS_N", 10)
+        assert main(["optimize", "--task", "revenue-max", "--n", "10", "--delta", "0.1"]) == 0
+        assert main(["optimize", "--task", "revenue-max", "--n", "11", "--delta", "0.1"]) == 2
+        assert "cutoff tables limited to n <= 10" in capsys.readouterr().err
 
     def test_ns_min_infeasible_exit(self, capsys):
         assert main(["optimize", "--task", "ns-min", "--n", "2", "--delta", "0.1",

@@ -22,3 +22,30 @@ def test_imports_only_stdlib_and_numpy():
                 continue
             foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+# ROADMAP layer order: a module imports only noisemech modules of lower layers
+LAYERS = {"hypercube": 0, "gaussian": 0, "noise": 1, "mechanism": 2, "optimize": 3, "cli": 4}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The noisemech modules that one source file imports, relatively or absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "noisemech":
+                    continue
+                module = module.partition(".")[2]
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[2] for a in node.names if a.name.startswith("noisemech.")}
+    return found
+
+
+def test_layer_order():
+    assert set(LAYERS) | {"__init__"} == {p.stem for p in PACKAGE.glob("*.py")}
+    upward = [f"{name} imports {dep}" for name, layer in LAYERS.items()
+              for dep in sorted(_package_imports(PACKAGE / f"{name}.py")) if LAYERS[dep] >= layer]
+    assert upward == []

@@ -7,7 +7,6 @@ from noisemech.gaussian import (
     INV_SQRT_2PI,
     alpha_limit,
     binormal_cdf,
-    gaussian_scalar,
     ltf_ns_asymptotic,
     majority_asymptotics,
     norm_cdf,
@@ -67,15 +66,10 @@ class TestScalars:
         for x in (-3.0, -0.5, 0.0, 1.7, 4.0):
             assert norm_quantile(norm_cdf(x)) == pytest.approx(x, abs=1e-10)
 
-    def test_dispatch(self):
-        assert gaussian_scalar("cdf", 1.0) == norm_cdf(1.0)
-        assert gaussian_scalar("ccdf", 1.0) == norm_ccdf(1.0)
-        assert gaussian_scalar("pdf", 1.0) == norm_pdf(1.0)
-        assert gaussian_scalar("quantile", 0.3) == norm_quantile(0.3)
-        with pytest.raises(ValueError):
-            gaussian_scalar("icdf", 0.3)
-        with pytest.raises(ValueError):
-            gaussian_scalar("quantile", 1.0)
+    def test_quantile_rejects_endpoints(self):
+        for p in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                norm_quantile(p)
 
     def test_cdf_ccdf_complement(self):
         for x in np.arange(-5, 5.1, 0.5):
@@ -168,6 +162,26 @@ class TestLtfNsAsymptotic:
 
     def test_vanishes_for_small_r(self):
         assert ltf_ns_asymptotic(1e-12, 0.2) <= 1e-9
+
+    def test_against_owens_t(self):
+        """NS = 4 T(t, sqrt(delta / (1 - delta))), with Owen's T on 200 nodes in long double."""
+        x, w = (np.asarray(a, dtype=np.longdouble) for a in np.polynomial.legendre.leggauss(200))
+
+        def owens_t(h, a):
+            u = a / 2 * (x + 1)
+            return a / 2 * np.sum(w * np.exp(-h * h * (1 + u * u) / 2) / (1 + u * u)) / (2 * np.pi)
+
+        worst = 0.0
+        for d in (1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.45, 0.49):
+            ld = np.longdouble(d)
+            for r in (0.01, 0.1, 0.2, 0.3, 0.39, INV_SQRT_2PI):
+                want = 4 * owens_t(np.longdouble(phi_inv_plus(r)), np.sqrt(ld / (1 - ld)))
+                worst = max(worst, float(abs(ltf_ns_asymptotic(r, d) - want) / want))
+            # majority: Sheppard's arccos(1 - 2 delta)/pi, taken as 2 asin(sqrt(delta))/pi to avoid cancellation
+            sheppard = 2 * np.arcsin(np.sqrt(ld)) / np.pi
+            for ns in (ltf_ns_asymptotic(INV_SQRT_2PI, d), majority_asymptotics(d, 1).ns):
+                worst = max(worst, float(abs(ns - sheppard) / sheppard))
+        assert worst <= 1e-14
 
     def test_r03_value_from_oracle(self):
         t = phi_inv_plus(0.3)

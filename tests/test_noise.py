@@ -1,11 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisemech import optimize
-from noisemech.hypercube import AnonymousFunction, DenseFunction, majority_function, threshold_function
+from noisemech.hypercube import (
+    AnonymousFunction,
+    DenseFunction,
+    majority_function,
+    popcounts,
+    threshold_function,
+    walsh,
+)
 from noisemech.noise import (
     MAX_EXACT_COUNT_N,
     JointCountDistribution,
@@ -171,6 +179,61 @@ class TestSensitivity:
             assert sensitivity_exact(f, 0.17) == pytest.approx(
                 sensitivity_exact(f.to_dense(), 0.17), abs=1e-10
             )
+
+
+NS_DELTAS = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.49)
+
+
+def _relative_error(got, exact):
+    return abs(Fraction(got) - exact) / exact if exact else abs(got)
+
+
+class TestDenseCrossingSum:
+    """Dense NS = 2 sum_S (1 - rho^|S|) coeff(S)^2 against exact rationals at the float delta."""
+
+    def test_every_rule_n3_against_flip_enumeration(self):
+        worst = 0
+        for n in (1, 2, 3):
+            size = 1 << n
+            x = np.arange(size)
+            for k in range(1 << size):
+                values = ((k >> x) & 1).astype(float)
+                # disagreeing (x, flip mask) pairs per flip weight
+                by_weight = np.bincount(popcounts(n), minlength=n + 1, weights=[
+                    np.count_nonzero(values[x] != values[x ^ mask]) for mask in range(size)])
+                f = DenseFunction(n, values)
+                for d in NS_DELTAS:
+                    fd = Fraction(d)
+                    exact = sum(int(c) * fd**w * (1 - fd) ** (n - w) for w, c in enumerate(by_weight)) / size
+                    worst = max(worst, _relative_error(sensitivity_exact(f, d), exact))
+        assert worst <= 1e-14
+
+    def test_random_rules_against_exact_spectral_sum(self):
+        rng = np.random.default_rng(31)
+        worst = 0
+        for n in (4, 7, 10, 12):
+            for _ in range(3):
+                values = (rng.random(1 << n) < rng.random()).astype(float)
+                f = DenseFunction(n, values)
+                # 2^n coeff(S) are integers, so the squared mass per degree is exact
+                ints = walsh(values).astype(np.int64)
+                mass = np.bincount(popcounts(n), weights=ints**2, minlength=n + 1).astype(np.int64)
+                for d in NS_DELTAS:
+                    rho = 1 - 2 * Fraction(d)
+                    exact = 2 * sum((1 - rho**k) * int(m) for k, m in enumerate(mass)) / Fraction(4**n)
+                    worst = max(worst, _relative_error(sensitivity_exact(f, d), exact))
+        assert worst <= 1e-14
+
+    def test_exact_at_both_endpoints(self):
+        and2 = DenseFunction(2, [0.0, 0.0, 0.0, 1.0])
+        assert sensitivity_exact(and2, 0.0) == 0.0
+        assert sensitivity_exact(and2, 0.5) == 0.375
+        rng = np.random.default_rng(5)
+        for n in (3, 9):
+            f = DenseFunction(n, (rng.random(1 << n) < 0.5).astype(float))
+            p = Fraction(int(f.values.sum()), 1 << n)
+            assert sensitivity_exact(f, 0.0) == 0.0
+            assert sensitivity_exact(f, 0.5) == 2 * p * (1 - p)  # y is independent of x
 
 
 class TestJointCountDistribution:

@@ -6,7 +6,8 @@ import pytest
 from noisemech.gaussian import INV_SQRT_2PI, alpha_limit, ltf_ns_asymptotic
 from noisemech.hypercube import AnonymousFunction, monotonicity_check, popcounts, threshold_function, walsh
 from noisemech.mechanism import SETTINGS, MechanismParams
-from noisemech.noise import sensitivity_exact, sensitivity_from_stability
+from noisemech.noise import sensitivity_exact
+from noisemech import optimize
 from noisemech.optimize import (
     InfeasibleTargetError,
     OracleResult,
@@ -55,6 +56,12 @@ class TestRevenueMaxThreshold:
         assert abs(res.finite_opt_revenue_normalized) <= 1e-11
         res = revenue_max_threshold(MechanismParams(101, 0.4999999999999, b=1.0))
         assert res.finite_opt_nu == 1
+
+    def test_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ANONYMOUS_N", 10)
+        assert revenue_max_threshold(MechanismParams(10, 0.1)).tau_pointwise == 0.625
+        with pytest.raises(ValueError, match="limited to n <= 10"):
+            revenue_max_threshold(MechanismParams(11, 0.1))
 
     def test_finite_opt_matches_scan(self):
         params = MechanismParams(9, 0.2, b=0.3)
@@ -226,7 +233,7 @@ def reference_oracle_dense(params, r):
     mean = vals.sum(axis=1) / size
     efnu = (vals @ nu) / size
     coeffs = walsh(vals.astype(np.float64)) / size
-    ns = sensitivity_from_stability(mean, (coeffs**2) @ (params.rho ** pc.astype(np.float64)))
+    ns = 2 * ((coeffs**2) @ (2 * params.delta * np.append(0.0, np.cumsum(params.rho ** np.arange(n))))[pc])
     revn = (params.rho * efnu + params.mean_coef * mean) / (params.rho * math.sqrt(params.n))
     ltf_ids = [int(((pc >= j).astype(np.int64) << pts).sum()) for j in range(n + 1)]
     feasible = marg & (revn >= r - 1e-12)
@@ -341,6 +348,13 @@ class TestMajorityCurve:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             majority_curve(11, [0.6])
+
+    def test_gap_to_sheppard_shrinks_like_one_over_n(self):
+        # each 4x step in odd n shrinks the gap about 4x: rate 1/n, not 1/sqrt(n)
+        for d in (0.05, 0.3):
+            gaps = [threshold_ns_table(n, d)[(n + 1) // 2] - math.acos(1 - 2 * d) / math.pi
+                    for n in (101, 401, 1601)]
+            assert all(3.8 <= a / b <= 4.3 for a, b in zip(gaps, gaps[1:])), (d, gaps)
 
 
 class TestStructuralInvariants:
