@@ -234,19 +234,18 @@ def induced_interim_pair(t: np.ndarray) -> tuple[float, float]:
 def solve_anonymous_transfer(n: int, beta_minus: float, beta_plus: float) -> np.ndarray:
     """Minimum-norm anonymous ex-post rule matching a target interim pair.
 
-    The 2 x (n+1) binomial-averaging system always has solutions (its first
-    and last columns are independent); the Euclidean minimum-norm one is the
-    canonical deterministic representative.
+    The binomial-averaging rows lo = (w, 0) and hi = (0, w) are independent,
+    so solutions exist; the Euclidean minimum-norm one is the canonical
+    representative. In the Gram eigenbasis s = lo + hi, d = lo - hi it is
+    (beta(-1) + beta(+1)) s / |s|^2 + (beta(-1) - beta(+1)) d / |d|^2, with no
+    2 x 2 solve to cancel between the nearly parallel rows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     w = binomial_weights(n - 1)
-    rows = np.zeros((2, n + 1))
-    rows[0, :n] = w
-    rows[1, 1:] = w
-    gram = rows @ rows.T
-    coef = np.linalg.solve(gram, np.array([beta_minus, beta_plus]))
-    return rows.T @ coef
+    lo, hi = np.append(w, 0.0), np.append(0.0, w)
+    s, d = lo + hi, lo - hi
+    return (beta_minus + beta_plus) / (s @ s) * s + (beta_minus - beta_plus) / (d @ d) * d
 
 
 def optimal_interim_pair(f_minus, f_plus, params: MechanismParams):

@@ -23,6 +23,7 @@ from .hypercube import (
     DenseFunction,
     FourierSpectrum,
     HypercubeFunction,
+    binomial_weights,
     fourier_transform,
     inverse_fourier,
     popcounts,
@@ -69,20 +70,19 @@ def joint_count_distribution(n: int, delta: float) -> JointCountDistribution:
     """Build the (n+1) x (n+1) pmf row by row from binomial pmfs.
 
     Given m_x = j, m_y = Bin(j, 1-d) + Bin(n-j, d), so row j is
-    C(n,j)/2^n times the convolution of the kept and the flipped-in counts.
-    The binomial pmfs come from Pascal steps, which add only positive
-    terms. O(n^3 / 6) multiply-adds inside np.convolve, O(n^2) space.
+    binomial_weights(n)[j] times the convolution of the kept and the flipped-in
+    counts, whose pmfs come from Pascal steps (positive terms only).
+    O(n^3 / 6) multiply-adds inside np.convolve, O(n^2) space.
     """
     if not 1 <= n <= MAX_EXACT_COUNT_N:
         raise ValueError(f"exact joint count law limited to n <= {MAX_EXACT_COUNT_N}, got {n}")
     _check_delta(delta)
     flip = np.zeros((n + 1, n + 1))  # flip[m, k] = P(Bin(m, delta) = k)
     flip[0, 0] = 1.0
-    weights = np.ones(1)  # ends as C(n, j) / 2^n
     for m in range(n):
         flip[m + 1, : m + 2] = np.convolve(flip[m, : m + 1], [1.0 - delta, delta])
-        weights = np.convolve(weights, [0.5, 0.5])
     flip[flip < np.finfo(np.float64).tiny] = 0.0  # subnormal tails only slow the convolutions
+    weights = binomial_weights(n)
     pmf = np.empty((n + 1, n + 1))
     for j in range(n + 1):
         pmf[j] = weights[j] * np.convolve(flip[j, : j + 1][::-1], flip[n - j, : n - j + 1])

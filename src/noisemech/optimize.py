@@ -321,14 +321,13 @@ def _oracle_anonymous(params: MechanismParams, r: float) -> OracleResult:
 def pareto_frontier(
     params: MechanismParams, r_grid: Iterable[float], regime: str = "asymptotic"
 ) -> list[FrontierPoint]:
-    """Minimum noise sensitivity versus required normalized revenue.
+    """Feasibility-boundary cutoffs versus required normalized revenue.
 
-    Both optimal cutoffs (at finite n the low and high feasibility-boundary
-    cutoffs, in the limit -phi_inv(r) and +phi_inv(r), which share one
-    value) are evaluated; the emitted point carries the low cutoff, which
-    also maximizes surplus, with the high cutoff's noise sensitivity
-    recorded in `ns_high`. Finite grid entries whose revenue floor is
-    unattainable are skipped with a warning so sweeps continue.
+    Each point carries the lowest cutoff meeting the floor (the limit: -phi_inv(r)), with the
+    highest one's noise sensitivity in `ns_high` (+phi_inv(r), the same value). At finite n
+    either may have the smaller NS, and the low cutoff need not maximize surplus: at n = 101,
+    delta = 0.1, b = 0, r = 0.02 it is -15 where surplus_max_threshold picks 1. Finite grid
+    entries whose revenue floor is unattainable are skipped with a warning so sweeps continue.
     """
     r_grid = _check_targets(params, regime, r_grid)
     if regime == "asymptotic":

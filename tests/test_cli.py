@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from noisemech import cli, hypercube, optimize
+from noisemech import cli, hypercube, noise, optimize
 from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
 from noisemech.gaussian import INV_SQRT_2PI
 from noisemech.noise import MAX_EXACT_COUNT_N
@@ -243,8 +243,6 @@ class TestDeterminism:
 
 class TestJointLawReuse:
     def test_analyze_builds_the_joint_law_once(self, tmp_path, monkeypatch, capsys):
-        from noisemech import noise
-
         spec = tmp_path / "maj101.fn"
         spec.write_text("kind=threshold\nn=101\ntheta=0\n")
         calls = []
@@ -302,10 +300,14 @@ class TestAnalyzeEvaluations:
         spec = tmp_path / "threshold201.fn"
         spec.write_text("kind=threshold\nn=201\ntheta=5\n")
         weights = _count_calls(monkeypatch, hypercube, "binomial_weights")
+        # noise reads the weights only to build the joint law: count those reads on their own
+        law_weights, counting = [], noise.binomial_weights
+        monkeypatch.setattr(noise, "binomial_weights", lambda n: law_weights.append(n) or counting(n))
         mono = _count_calls(monkeypatch, hypercube, "monotonicity_check")
         assert main(["analyze", "--spec", str(spec), "--delta", "0.1", "--b", "0.3"]) == 0
         assert "ns_exact = " in capsys.readouterr().out
-        assert len(weights) <= 3
+        assert law_weights == [201]
+        assert len(weights) - len(law_weights) <= 3
         assert len(mono) == 2
 
 

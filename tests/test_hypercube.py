@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisemech.hypercube import (
+    MAX_ANONYMOUS_N,
     AnonymousFunction,
     DenseFunction,
     build_function,
@@ -189,6 +191,30 @@ class TestMonotonicity:
         with pytest.raises(ValueError):
             monotonicity_check(DenseFunction(1, [-1.0, 1.0]), "monotone")
 
+    @staticmethod
+    def exact_verdict(f, kind):
+        """Integer-arithmetic verdict for a Boolean rule: math.comb sums if anonymous, int64 contexts if dense."""
+        if isinstance(f, AnonymousFunction):
+            if kind == "monotone":
+                return bool((np.diff(f.g) >= 0.0).all())
+            return sum(int(gm) * (2 * m - f.n) * math.comb(f.n, m) for m, gm in enumerate(f.g)) >= 0
+        pairs = [half_split(f.values.astype(np.int64), i) for i in range(f.n)]
+        if kind == "monotone":
+            return all((hi - lo).min() >= 0 for lo, hi in pairs)
+        return all((hi - lo).sum() >= 0 for lo, hi in pairs)
+
+    def test_float_verdict_matches_exact_arithmetic(self):
+        rules = [AnonymousFunction(n, (k >> np.arange(n + 1)) & 1)
+                 for n in range(1, 11) for k in range(1 << (n + 1))]
+        rules += [DenseFunction(n, (k >> np.arange(1 << n)) & 1) for n in (1, 2, 3) for k in range(1 << (1 << n))]
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n = int(rng.integers(4, 13))
+            rules.append(DenseFunction(n, rng.random(1 << n) < rng.random()))
+        for f in rules:
+            for kind in ("monotone", "marginally-monotone"):
+                assert monotonicity_check(f, kind) == self.exact_verdict(f, kind), (f.n, kind)
+
 
 class TestAnonymousDenseConsistency:
     @pytest.mark.parametrize("n", [2, 5, 8, 12])
@@ -234,6 +260,34 @@ def test_binomial_weights_normalized():
         w = binomial_weights(n)
         assert abs(w.sum() - 1.0) <= 1e-9
         assert w.min() >= 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 301, 1000, 2000])
+def test_binomial_weights_match_exact_integers(n):
+    # Python's int / int division rounds C(n, m) / 2^n correctly
+    want = np.array([math.comb(n, m) / 2**n for m in range(n + 1)])
+    cells = want > 1e-300
+    assert np.abs(binomial_weights(n)[cells] / want[cells] - 1.0).max() <= 4e-15
+
+
+def test_binomial_weights_match_fractions_at_n_10000():
+    n = 10**4
+    w = binomial_weights(n)
+    m = np.arange(0, n + 1, 37)
+    exact = [Fraction(math.comb(n, int(k)), 2**n) for k in m]
+    cells = [i for i, e in enumerate(exact) if e > Fraction(1, 10**300)]
+    assert max(abs(Fraction(float(w[m[i]])) / exact[i] - 1) for i in cells) <= Fraction(1, 10**14)
+
+
+def test_binomial_weights_at_largest_size():
+    n = MAX_ANONYMOUS_N
+    w = binomial_weights(n)
+    assert np.isfinite(w).all() and (w >= 0.0).all()
+    assert abs(w.sum() - 1.0) <= 1e-14
+    # C(2m, m) / 4^m = (1 - 1/(8m) + 1/(128m^2) + 5/(1024m^3)) / sqrt(pi m), exact to 1e-26 here
+    m = n // 2
+    central = (1.0 - 1.0 / (8 * m) + 1.0 / (128 * m**2) + 5.0 / (1024 * m**3)) / math.sqrt(math.pi * m)
+    assert abs(w[m] / central - 1.0) <= 1e-14
 
 
 def test_anonymous_large_n_mean():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,6 +289,25 @@ class TestSolveAnonymousTransfer:
             got = induced_interim_pair(t)
             assert got[0] == pytest.approx(bm, abs=1e-9)
             assert got[1] == pytest.approx(bp, abs=1e-9)
+
+    @staticmethod
+    def exact_min_norm(n, beta_minus, beta_plus):
+        """The minimum-norm solution R^T (R R^T)^-1 beta in rational arithmetic."""
+        w = [Fraction(math.comb(n - 1, m), 2 ** (n - 1)) for m in range(n)]
+        a = sum(x * x for x in w)
+        c = sum(x * y for x, y in zip(w, w[1:]))
+        bm, bp = Fraction(beta_minus), Fraction(beta_plus)
+        det = a * a - c * c
+        x_lo, x_hi = (a * bm - c * bp) / det, (a * bp - c * bm) / det
+        return [x_lo * lo + x_hi * hi for lo, hi in zip(w + [0], [0] + w)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 101, 301])
+    def test_matches_exact_min_norm(self, n):
+        for bm, bp in ((-0.3, 0.7), (0.6, 0.6), (-0.0514631567408541, -0.031953154768)):
+            t = solve_anonymous_transfer(n, bm, bp)
+            want = self.exact_min_norm(n, bm, bp)
+            err = max(abs(Fraction(float(x)) / e - 1) for x, e in zip(t, want) if abs(e) > Fraction(1, 10**300))
+            assert err <= Fraction(1, 10**14), (n, bm, bp, float(err))
 
     def test_schedule_rejects_mismatched_expost(self):
         from noisemech.mechanism import InterimProfile, TransferSchedule

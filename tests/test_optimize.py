@@ -319,6 +319,19 @@ class TestParetoFrontier:
             assert p.threshold == table.nu[j_lo]
             assert table.surplus[j_lo] >= table.surplus[j_hi] - 1e-12
 
+    def test_finite_emits_lowest_feasible_cutoff(self):
+        # the emitted cutoff is the feasibility boundary, not the surplus or NS optimum
+        p0 = pareto_frontier(MechanismParams(101, 0.1, b=0.0), [0.02], "finite")[0]
+        s0 = surplus_max_threshold(MechanismParams(101, 0.1, b=0.0), 0.02)
+        assert (p0.threshold, s0.threshold) == (-15, 1)
+        assert p0.surplus_per_capita == pytest.approx(0.00446, abs=5e-6)
+        assert s0.surplus_per_capita == pytest.approx(0.01592, abs=5e-6)
+        assert p0.ns_high < p0.ns
+        # at b = 1 every vote count adds surplus, so the lowest feasible cutoff is the surplus optimum
+        p1 = pareto_frontier(MechanismParams(101, 0.1, b=1.0), [0.02], "finite")[0]
+        s1 = surplus_max_threshold(MechanismParams(101, 0.1, b=1.0), 0.02)
+        assert (p1.threshold, p1.surplus_per_capita, p1.ns) == (s1.threshold, s1.surplus_per_capita, s1.ns)
+
     def test_finite_skips_infeasible_points(self):
         params = MechanismParams(50, 0.25, b=0.0)
         with pytest.warns(UserWarning):
