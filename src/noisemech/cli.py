@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -86,6 +87,7 @@ class RunConfig:
     eps: Optional[float] = None
 
 
+@lru_cache(maxsize=1)  # built once per process: parsing keeps no state in the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="noisemech", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

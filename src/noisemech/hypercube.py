@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -100,7 +100,10 @@ def _freeze(a: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenseFunction:
-    """A real-valued function on {-1,+1}^n stored as a full truth table."""
+    """A real-valued function on {-1,+1}^n stored as a full truth table.
+
+    Its Walsh spectrum is computed on first use and kept, a second 2^n table.
+    """
 
     n: int
     values: np.ndarray
@@ -131,6 +134,11 @@ class DenseFunction:
     def mean_nu(self) -> float:
         """E[f(x) sum_i x_i], the sum of the degree-1 coefficients."""
         return float(self.degree1().sum())
+
+    @cached_property
+    def spectrum(self) -> FourierSpectrum:
+        """Walsh expansion: coeffs[S] = E[f(x) chi_S(x)] under the uniform measure."""
+        return FourierSpectrum(self.n, walsh(self.values) / self.values.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +234,8 @@ HypercubeFunction = Union[DenseFunction, AnonymousFunction]
 
 
 def fourier_transform(f: DenseFunction) -> FourierSpectrum:
-    """Walsh expansion: coeffs[S] = E[f(x) chi_S(x)] under the uniform measure."""
-    return FourierSpectrum(f.n, walsh(f.values) / f.values.size)
+    """Walsh expansion of f, transformed once per function (see DenseFunction.spectrum)."""
+    return f.spectrum
 
 
 def inverse_fourier(s: FourierSpectrum) -> DenseFunction:

@@ -10,6 +10,9 @@ feasibility-boundary cutoffs that generate the noise-sensitivity frontier.
 Desk-scale oracles enumerate every Boolean function (all 2^(2^n) at n <= 4,
 or all 2^(n+1) anonymous ones at n <= 20) to audit the threshold family's
 optimality gap. Ties break toward the smallest threshold or function index.
+The all-Boolean oracle enumerates once per n per process: its rules' Walsh
+sums, means, E[f nu] and monotonicity depend on neither delta, b nor r, so a
+query computes only the noise sensitivities and the feasibility test.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -258,28 +262,36 @@ def ns_min_bruteforce(params: MechanismParams, r: float, scope: str = "all-boole
     raise ValueError(f"scope must be all-boolean or anonymous, got {scope!r}")
 
 
-def _oracle(params: MechanismParams, r: float, counts: np.ndarray, weights: np.ndarray, mono: np.ndarray,
-            sensitivity) -> OracleResult:
-    """Every Boolean rule on the cells, in chunks: feasibility, the minimizers and the best cutoff.
+_CHUNK = 1 << 14  # rules per block; the dense NS sums stay bit-identical only on these blocks
+
+
+def _rule_stats(n: int, counts: np.ndarray, weights: np.ndarray, mono: np.ndarray, per_rule,
+                out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E[f], E[f nu] and marginal monotonicity of every Boolean rule on the cells, in blocks of rules.
 
     Rule k is the truth-table bitmask k; its bit t is its value on cell t, which has counts[t] votes
     for +1 and probability weights[t]. A rule g is marginally monotone iff the integers g @ mono are
-    all >= 0, and `sensitivity` maps rows of rules to their noise sensitivities.
+    all >= 0. per_rule(g) maps each block's rows of rules into the same rows of `out`.
     """
     count = 1 << counts.size
     bits = np.arange(counts.size, dtype=np.int64)
-    nu_weights = weights * (2 * counts - params.n)
-    mean, efnu, ns = np.empty((3, count))
+    nu_weights = weights * (2 * counts - n)
+    mean, efnu = np.empty((2, count))
     marg = np.empty(count, dtype=bool)
-    chunk = 1 << 14
-    for start in range(0, count, chunk):
-        ids = np.arange(start, min(start + chunk, count), dtype=np.int64)
+    for start in range(0, count, _CHUNK):
+        ids = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
         g = (ids[:, None] >> bits[None, :]) & 1
         marg[ids] = (g @ mono >= 0).all(axis=1)
         g = g.astype(np.float64)
         mean[ids] = g @ weights
         efnu[ids] = g @ nu_weights
-        ns[ids] = sensitivity(g)
+        out[ids] = per_rule(g)
+    return mean, efnu, marg
+
+
+def _oracle(params: MechanismParams, r: float, counts: np.ndarray, mean: np.ndarray, efnu: np.ndarray,
+            marg: np.ndarray, ns: np.ndarray) -> OracleResult:
+    """Feasibility, the minimizers and the best cutoff, given every rule's statistics (see _rule_stats)."""
     revn = params.normalize(params.revenue_index(mean, efnu))
     feasible = marg & (revn >= r - _FEAS_TOL)
     feasible_count = int(feasible.sum())
@@ -287,6 +299,7 @@ def _oracle(params: MechanismParams, r: float, counts: np.ndarray, weights: np.n
         return OracleResult(math.nan, (), 0, math.nan, math.nan, None)
     min_ns = float(ns[feasible].min())
     argmin = tuple(int(i) for i in np.nonzero(feasible & (ns <= min_ns + _FEAS_TOL))[0])
+    bits = np.arange(counts.size, dtype=np.int64)
     ltf_ids = np.array([((counts >= j).astype(np.int64) << bits).sum() for j in range(params.n + 1)])
     feas_j = np.nonzero(feasible[ltf_ids])[0]  # cutoffs 1{m >= j} that meet the floor
     if feas_j.size == 0:
@@ -297,25 +310,42 @@ def _oracle(params: MechanismParams, r: float, counts: np.ndarray, weights: np.n
     return OracleResult(min_ns, argmin, feasible_count, best_ltf_ns - min_ns, best_ltf_ns, 2 * best_j - params.n)
 
 
+@lru_cache(maxsize=MAX_ORACLE_DENSE_N)  # 1 MB of Walsh sums at n = 4
+def _dense_rule_stats(n: int) -> tuple[np.ndarray, ...]:
+    """The delta-free statistics of all 2^(2^n) rules on the 2^n points, read-only.
+
+    Returns the exact integer Walsh sums 2^n coeffs[S] (int8: |sum| <= 2^n <= 16), E[f], E[f nu]
+    and marginal monotonicity, which reads the per-coordinate signs.
+    """
+    size = 1 << n
+    signs = ((np.arange(size, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
+    sums = np.empty((1 << size, size), dtype=np.int8)
+    stats = (sums, *_rule_stats(n, popcounts(n), np.full(size, 1.0 / size), signs, walsh, sums))
+    for a in stats:
+        a.setflags(write=False)
+    return stats
+
+
 def _oracle_dense(params: MechanismParams, r: float) -> OracleResult:
-    """Cells are the 2^n points; monotonicity reads the per-coordinate signs."""
+    """Cells are the 2^n points; only the noise sensitivities depend on the query."""
     n = params.n
     size = 1 << n
-    pc = popcounts(n)
-    signs = ((np.arange(size, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1) * 2 - 1
-
-    def sensitivity(g: np.ndarray) -> np.ndarray:
-        return spectral_sensitivity(walsh(g) / size, params.delta)
-
-    return _oracle(params, r, pc, np.full(size, 1.0 / size), signs, sensitivity)
+    sums, mean, efnu, marg = _dense_rule_stats(n)
+    ns = np.empty(sums.shape[0])
+    for start in range(0, ns.size, _CHUNK):
+        ns[start:start + _CHUNK] = spectral_sensitivity(sums[start:start + _CHUNK] / size, params.delta)
+    return _oracle(params, r, popcounts(n), mean, efnu, marg, ns)
 
 
 def _oracle_anonymous(params: MechanismParams, r: float) -> OracleResult:
     """Cells are the n+1 vote counts; monotonicity weights are (2m - n) C(n, m)."""
     n = params.n
+    counts = np.arange(n + 1, dtype=np.int64)
     mono = np.array([[(2 * m - n) * math.comb(n, m)] for m in range(n + 1)], dtype=np.int64)
     law = joint_count_distribution(n, params.delta)
-    return _oracle(params, r, np.arange(n + 1, dtype=np.int64), binomial_weights(n), mono, law.sensitivity)
+    ns = np.empty(1 << (n + 1))
+    mean, efnu, marg = _rule_stats(n, counts, binomial_weights(n), mono, law.sensitivity, ns)
+    return _oracle(params, r, counts, mean, efnu, marg, ns)
 
 
 def pareto_frontier(

@@ -4,10 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from noisemech import cli, hypercube, noise, optimize
 from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
-from noisemech.gaussian import INV_SQRT_2PI
+from noisemech.gaussian import INV_SQRT_2PI, MAX_REVENUE_TARGET
 from noisemech.noise import MAX_EXACT_COUNT_N
 
 MAJ_SPEC = "kind=threshold\nn=3\ntheta=0\n"
@@ -130,6 +131,12 @@ class TestOptimizeCommand:
         assert main(["optimize", "--task", "ns-min", "--n", "2", "--delta", "0.1",
                      "--r", "0.39"]) == 1
 
+    def test_ns_min_size_limit(self, capsys):
+        n = str(optimize.MAX_ORACLE_DENSE_N + 1)
+        assert main(["optimize", "--task", "ns-min", "--n", n, "--delta", "0.1", "--r", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert "all-boolean oracle limited to n <= 4" in captured.err and captured.out == ""
+
     def test_ns_min_without_feasible_cutoff(self, capsys):
         assert main(["optimize", "--task", "ns-min", "--n", "1", "--delta", "0.4", "--b", "0",
                      "--r", "1e-13"]) == 0
@@ -239,6 +246,75 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserReuse:
+    """main builds its parser once; no parsed value outlives the call that parsed it."""
+
+    def test_no_state_carries_over(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+        assert main(["verify", "--suite", "oracle-n2", "--delta", "0.3", "--b", "0.5"]) == 0
+        seen[0].r_grid.append(0.39)  # a caller may change the list it was given
+        assert main(["frontier", "--delta", "0.2", "--r-grid", "0.1"]) == 0
+        assert main(["verify", "--suite", "identities"]) == 0
+        first, frontier, second = seen
+        assert (frontier.suite, frontier.b, frontier.regime, frontier.r_grid) == (None, 0.0, "asymptotic", [0.1])
+        assert (second.suite, second.delta, second.b) == ("identities", 0.1, 0.0)
+        assert second.r_grid == parse_grid("0.05:0.35:0.05") and second.r_grid is not first.r_grid
+        assert cli._build_parser() is cli._build_parser()
+
+
+_FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_SPEC_LINE = st.one_of(
+    st.builds("{}{}{}".format,
+              st.sampled_from(["kind", "n", "values", "g", "theta", "KIND ", "x", ""]),
+              st.sampled_from(["=", "==", ":", " = "]),
+              st.sampled_from(["dense", "anonymous", "threshold", "0", "1", "2", "3", "-1", "25", "2.5", "1e999",
+                               "nan", "-inf", "0,1", "0,1,1,0", "0,0,1,1", "0,1,2", "0,0.5,1", ",", "1,,x", "a", ""])),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+_GRID_TOKEN = st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str),
+                        st.sampled_from(["", " ", "a", "nan", "-inf", "1e999", "1e-300", "0x1"]))
+_GRID = st.one_of(st.lists(_GRID_TOKEN, min_size=1, max_size=5).map(":".join),
+                  st.lists(_GRID_TOKEN, min_size=1, max_size=4).map(",".join),
+                  st.text(max_size=12))
+
+
+class TestMalformedInputFuzz:
+    """Malformed spec files and grids exit 2 with a message, never a traceback."""
+
+    @_FUZZ
+    @given(text=st.lists(_SPEC_LINE, max_size=5).map("\n".join))
+    def test_spec(self, tmp_path, capsys, text):
+        try:
+            hypercube.build_function(text)
+        except ValueError:
+            pass
+        else:
+            assume(False)  # a well-formed spec
+        path = tmp_path / "fuzz.fn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze", "--spec", str(path), "--delta", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, admissible", [
+        (["frontier", "--delta", "0.1", "--r-grid="], lambda r: 0.0 < r <= MAX_REVENUE_TARGET),
+        (["majority-curve", "--n", "5", "--delta-grid="], lambda d: 0.0 <= d <= 0.5),
+    ], ids=["r-grid", "delta-grid"])
+    @_FUZZ
+    @given(text=_GRID)
+    def test_grid(self, capsys, command, admissible, text):
+        try:
+            values = parse_grid(text)
+        except UsageError:
+            values = None
+        assume(values is None or not all(map(admissible, values)))  # else a well-formed grid
+        assert main(command[:-1] + [command[-1] + text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ") and "Traceback" not in captured.err
 
 
 class TestJointLawReuse:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -102,6 +103,21 @@ class TestFourier:
         assert np.all(inverse_fourier(zero).values == 0.0)
         half = FourierSpectrum(2, [0.5, 0, 0, 0])
         assert np.all(inverse_fourier(half).values == 0.5)
+
+
+class TestSpectrumCache:
+    """A dense rule keeps one read-only spectrum."""
+
+    def test_transform_returns_the_kept_read_only_spectrum(self):
+        f = DenseFunction(3, np.random.default_rng(5).random(8))
+        spectrum = fourier_transform(f)
+        assert fourier_transform(f) is spectrum is f.spectrum
+        before = spectrum.coeffs.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum.coeffs[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.spectrum = None
+        assert np.array_equal(fourier_transform(f).coeffs, before)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisemech import optimize
+from noisemech import hypercube, optimize
 from noisemech.hypercube import (
     AnonymousFunction,
     DenseFunction,
@@ -93,6 +93,22 @@ class TestNoiseOperator:
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             noise_operator(DICTATOR, 1.5)
+
+
+def test_dense_statistics_share_one_forward_transform(monkeypatch):
+    calls, original = [], hypercube.walsh
+
+    def counting(values, inverse=False):
+        calls.append("inverse" if inverse else "forward")
+        return original(values, inverse)
+
+    monkeypatch.setattr(hypercube, "walsh", counting)
+    f = DenseFunction(6, (np.random.default_rng(2).random(64) < 0.4).astype(np.float64))
+    sensitivity_exact(f, 0.1)
+    stability_exact(f, 0.2)
+    hypercube.influences(f)
+    noise_operator(f, 0.7)
+    assert calls == ["forward", "inverse"]  # the inverse is the noise operator's own
 
 
 @settings(max_examples=40, deadline=None)

@@ -267,6 +267,45 @@ class TestOracleEnumeration:
             assert repr(ns_min_bruteforce(params, r, "all-boolean")) == repr(reference_oracle_dense(params, r))
 
 
+class TestDenseOracleStatistics:
+    """The all-Boolean oracle enumerates its delta-free statistics once per n."""
+
+    def test_built_once_across_a_sweep(self, monkeypatch):
+        calls, original = [], optimize.walsh
+        monkeypatch.setattr(optimize, "walsh", lambda g: calls.append(len(g)) or original(g))
+        optimize._dense_rule_stats.cache_clear()
+        for delta in (0.05, 0.2, 0.4):
+            for b in (0.0, 1.0):
+                for r in (0.05, 0.2):
+                    ns_min_bruteforce(MechanismParams(4, delta, b), r, "all-boolean")
+        assert calls == [1 << 14] * 4  # one pass over the 2^16 rules, in blocks of 2^14
+
+    def test_statistics_are_read_only(self):
+        for a in optimize._dense_rule_stats(3):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_one_coordinate(self):
+        # rules on the points (x = -1, x = +1): 0, the anti-dictator, the dictator and 1
+        sums, mean, efnu, marg = optimize._dense_rule_stats(1)
+        assert sums.tolist() == [[0, 0], [1, -1], [1, 1], [2, 0]]
+        assert mean.tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert efnu.tolist() == [0.0, -0.5, 0.5, 0.0]
+        assert marg.tolist() == [True, False, True, True]
+        for delta in (0.01, 0.1, 0.3, 0.49):
+            # at b = 1 revenue has no E[f] term, so the dictator alone reaches r > 0 and its NS is delta
+            res = ns_min_bruteforce(MechanismParams(1, delta, 1.0), 0.3, "all-boolean")
+            assert res == OracleResult(delta, (2,), 1, 0.0, delta, 1)
+
+    def test_size_limit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(optimize, "_dense_rule_stats", calls.append)
+        with pytest.raises(ValueError, match="all-boolean oracle limited to n <= 4"):
+            ns_min_bruteforce(MechanismParams(optimize.MAX_ORACLE_DENSE_N + 1, 0.1, 0.0), 0.1, "all-boolean")
+        assert calls == []  # rejected before any enumeration
+
+
 class TestParetoFrontier:
     def test_asymptotic_majority_point(self):
         pts = pareto_frontier(MechanismParams(10, 0.1, b=0.0), [INV_SQRT_2PI], "asymptotic")
