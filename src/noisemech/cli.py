@@ -173,6 +173,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         raise UsageError("--n is required for the finite regime")
     if cfg.mc_samples is not None and cfg.mc_samples < 1:
         raise UsageError("mc-samples must be >= 1")
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -257,9 +259,9 @@ def _cmd_transfers(cfg: RunConfig) -> int:
     # interim pairs but is not itself a dominant-strategy implementation
     report = mechanism.check_constraints(f, schedule, params, ("bn-ic", "iir"))
     lines.append(f"constraints_pass = {str(report.ok).lower()}")
-    _emit("\n".join(lines) + "\n", cfg.out)
-    if cfg.report_out is not None:
+    if cfg.report_out is not None:  # first, so that an unwritable report path leaves stdout empty
         Path(cfg.report_out).write_text(report.to_csv())
+    _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
 

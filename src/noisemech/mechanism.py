@@ -22,7 +22,6 @@ revenue(), which keeps the E[f] term O(1) against the O(sqrt(n)) vote term.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -283,42 +282,36 @@ def optimal_interim_transfers(f: HypercubeFunction, params: MechanismParams) -> 
     return TransferSchedule(interim, expost, params.setting)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    agent: int
-    constraint: str
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.lhs - self.rhs
-
-    @property
-    def passed(self) -> bool:
-        return self.slack >= -CONSTRAINT_TOL
+ROW_DTYPE = np.dtype([("agent", np.int64), ("constraint", "U10"), ("lhs", np.float64), ("rhs", np.float64)])
+_CSV_CHUNK = 1 << 16  # to_csv holds per-row Python strings for this many rows at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintReport:
-    rows: tuple[ConstraintRow, ...]
+    """Rows (agent, constraint, lhs, rhs), agent-major; a row passes when lhs - rhs >= -CONSTRAINT_TOL."""
+
+    rows: np.ndarray
 
     @property
     def ok(self) -> bool:
-        return all(row.passed for row in self.rows)
+        return bool((self.rows["lhs"] - self.rows["rhs"] >= -CONSTRAINT_TOL).all())
 
     def slack(self, constraint: str) -> np.ndarray:
-        return np.array([row.slack for row in self.rows if row.constraint == constraint])
+        rows = self.rows[self.rows["constraint"] == constraint]
+        if rows.size == 0:
+            raise ValueError(f"constraint {constraint!r} is not in the report")
+        return rows["lhs"] - rows["rhs"]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("agent,constraint,lhs,rhs,slack,pass\n")
-        for row in self.rows:
-            buf.write(
-                f"{row.agent},{row.constraint},{row.lhs:.12g},{row.rhs:.12g},"
-                f"{row.slack:.12g},{str(row.passed).lower()}\n"
-            )
-        return buf.getvalue()
+        parts = ["agent,constraint,lhs,rhs,slack,pass\n"]
+        for start in range(0, self.rows.size, _CSV_CHUNK):
+            chunk = self.rows[start:start + _CSV_CHUNK]
+            slack = chunk["lhs"] - chunk["rhs"]
+            passed = np.where(slack >= -CONSTRAINT_TOL, "true", "false")
+            fields = (chunk[name].tolist() for name in ROW_DTYPE.names)
+            parts.append("".join(f"{i},{c},{lhs:.12g},{rhs:.12g},{s:.12g},{p}\n"
+                                 for i, c, lhs, rhs, s, p in zip(*fields, slack.tolist(), passed.tolist())))
+        return "".join(parts)
 
 
 def _expost_context_values(f: HypercubeFunction, t: np.ndarray, agent: int):
@@ -378,21 +371,22 @@ def check_constraints(
 
     prof = interim_marginals(f, params)
     sched = transfers.interim
-    # family -> [(name, lhs per agent, rhs per agent)]
-    columns = {}
+    ineqs = []  # (name, lhs per agent, rhs per agent) in each agent's row order
     for fam in families:
         if fam not in _EXPOST_FAMILIES:
-            ineqs = _inequalities(fam, params, prof.v_plus, prof.v_minus, sched.v_plus, sched.v_minus)
+            ineqs += _inequalities(fam, params, prof.v_plus, prof.v_minus, sched.v_plus, sched.v_minus)
         else:  # an anonymous rule gives every agent the same contexts: evaluate agent 0 only
             agents = 1 if isinstance(f, AnonymousFunction) else params.n
             worst = np.empty((2, 2, agents))  # (high/low, lhs/rhs, agent)
             for i in range(agents):
-                ineqs = _inequalities(fam, params, *_expost_context_values(f, transfers.anonymous_expost, i))
-                for k, (_, lhs, rhs) in enumerate(ineqs):
+                family = _inequalities(fam, params, *_expost_context_values(f, transfers.anonymous_expost, i))
+                for k, (_, lhs, rhs) in enumerate(family):
                     j = np.argmin(lhs - rhs)
                     worst[k, :, i] = lhs[j], rhs[j]
             worst = np.broadcast_to(worst, (2, 2, params.n))
-            ineqs = [(name, *worst[k]) for k, (name, _, _) in enumerate(ineqs)]
-        columns[fam] = [(name, lhs.tolist(), rhs.tolist()) for name, lhs, rhs in ineqs]
-    return ConstraintReport(tuple(ConstraintRow(i, name, lhs[i], rhs[i]) for i in range(params.n)
-                                  for fam in families for name, lhs, rhs in columns[fam]))
+            ineqs += [(name, *worst[k]) for k, (name, _, _) in enumerate(family)]
+    rows = np.empty((params.n, len(ineqs)), ROW_DTYPE)  # agent-major
+    rows["agent"] = np.arange(params.n)[:, None]
+    for k, (name, lhs, rhs) in enumerate(ineqs):
+        rows["constraint"][:, k], rows["lhs"][:, k], rows["rhs"][:, k] = name, lhs, rhs
+    return ConstraintReport(rows.ravel())

@@ -64,6 +64,15 @@ class TestParseArgs:
         assert main(["analyze", "--spec", maj_file, "--delta", "0.7"]) == 2
         assert "delta must be in (0, 0.5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--mc-samples", "1"]])
+    def test_negative_seed(self, maj_file, capsys, extra):
+        argv = ["analyze", "--spec", maj_file, "--delta", "0.1", "--seed", "-1", *extra]
+        with pytest.raises(UsageError, match="--seed must be >= 0"):
+            parse_args(argv)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "usage error: --seed must be >= 0, got -1\n"
+
     def test_missing_required_r(self):
         with pytest.raises(UsageError):
             parse_args(["optimize", "--task", "min-bias", "--n", "50", "--delta", "0.1"])
@@ -112,6 +121,16 @@ class TestTransfers:
         lines = report.read_text().strip().splitlines()
         assert lines[0] == "agent,constraint,lhs,rhs,slack,pass"
         assert len(lines) == 1 + 12
+
+    def test_unwritable_report_path_writes_nothing(self, maj_file, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        for extra in ([], ["--out", str(out)]):
+            assert main(["transfers", "--spec", maj_file, "--delta", "0.1",
+                         "--report-out", str(tmp_path / "missing" / "report.csv"), *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not out.exists()
 
 
 class TestOptimizeCommand:

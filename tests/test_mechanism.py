@@ -16,9 +16,9 @@ from noisemech.hypercube import (
     threshold_function,
 )
 from noisemech.mechanism import (
+    ROW_DTYPE,
     SETTINGS,
     ConstraintReport,
-    ConstraintRow,
     InterimProfile,
     MechanismParams,
     TransferSchedule,
@@ -327,6 +327,14 @@ class TestCheckConstraints:
         assert np.allclose(report.slack("iir-low"), 0.0, atol=1e-12)
         assert np.allclose(report.slack("bn-ic-high"), 0.0, atol=1e-12)
         assert (report.slack("iir-high") >= -1e-12).all()
+        assert report.slack("iir-low").shape == (3,)
+
+    def test_slack_of_an_absent_constraint_raises(self):
+        p = MechanismParams(3, 0.25, b=0.0)
+        report = check_constraints(MAJ3, optimal_interim_transfers(MAJ3, p), p, ("bn-ic", "iir"))
+        for name in ("typo", "ds-ic-high", "iir"):
+            with pytest.raises(ValueError, match=repr(name)):
+                report.slack(name)
 
     def test_zero_transfers_constant_rule(self):
         f = AnonymousFunction(2, np.ones(3))
@@ -335,7 +343,7 @@ class TestCheckConstraints:
         sched = TransferSchedule(InterimProfile(np.zeros(2), np.zeros(2)), None, "noisy-report")
         report = check_constraints(f, sched, p, ("bn-ic", "iir"))
         assert report.ok
-        assert all(row.slack >= -1e-12 for row in report.rows)
+        assert (report.rows["lhs"] - report.rows["rhs"] >= -1e-12).all()
 
     def test_excessive_gap_fails_bn_ic(self):
         f = DenseFunction(1, [0.0, 1.0])
@@ -345,7 +353,8 @@ class TestCheckConstraints:
         sched = TransferSchedule(InterimProfile(np.array([0.0]), np.array([gap])), None, "noisy-report")
         report = check_constraints(f, sched, p, "bn-ic")
         assert not report.ok
-        assert any(row.constraint == "bn-ic-high" and not row.passed for row in report.rows)
+        assert report.slack("bn-ic-high")[0] < -1e-9
+        assert report.slack("bn-ic-low")[0] >= -1e-9
 
     def test_expost_required_for_ds_families(self):
         p = MechanismParams(3, 0.25, b=0.0)
@@ -393,7 +402,7 @@ class TestCheckConstraints:
 
 
 def reference_constraint_rows(f, transfers, params, families):
-    """Constraint rows from a per-agent, per-family loop with each inequality written out."""
+    """(agent, constraint, lhs, rhs) tuples from a per-agent, per-family loop with each inequality written out."""
     prof = interim_marginals(f, params)
     lo_coef, hi_coef = params.value_coefs
     d = params.delta
@@ -413,16 +422,14 @@ def reference_constraint_rows(f, transfers, params, families):
         tm, tp = transfers.interim.v_minus[i], transfers.interim.v_plus[i]
         for fam in families:
             if fam == "bn-ic":
-                rows.append(ConstraintRow(i, "bn-ic-high", hi_coef * (fp - fm), tp - tm))
-                rows.append(ConstraintRow(i, "bn-ic-low", tp - tm, lo_coef * (fp - fm)))
+                rows.append((i, "bn-ic-high", hi_coef * (fp - fm), tp - tm))
+                rows.append((i, "bn-ic-low", tp - tm, lo_coef * (fp - fm)))
             elif fam == "iir" and params.setting == "imperfect-knowledge":
-                rows.append(ConstraintRow(i, "iir-high", hi_coef * fp, tp))
-                rows.append(ConstraintRow(i, "iir-low", lo_coef * fm, tm))
+                rows.append((i, "iir-high", hi_coef * fp, tp))
+                rows.append((i, "iir-low", lo_coef * fm, tm))
             elif fam == "iir":
-                rows.append(ConstraintRow(i, "iir-high", hi_coef * ((1.0 - d) * fp + d * fm),
-                                          (1.0 - d) * tp + d * tm))
-                rows.append(ConstraintRow(i, "iir-low", lo_coef * (d * fp + (1.0 - d) * fm),
-                                          d * tp + (1.0 - d) * tm))
+                rows.append((i, "iir-high", hi_coef * ((1.0 - d) * fp + d * fm), (1.0 - d) * tp + d * tm))
+                rows.append((i, "iir-low", lo_coef * (d * fp + (1.0 - d) * fm), d * tp + (1.0 - d) * tm))
             else:
                 fpv, fmv, tpv, tmv = contexts(i)
                 if fam == "ds-ic":
@@ -437,16 +444,25 @@ def reference_constraint_rows(f, transfers, params, families):
                     )
                 for name, lhs_v, rhs_v in pairs:
                     worst = int(np.argmin(lhs_v - rhs_v))
-                    rows.append(ConstraintRow(i, name, float(lhs_v[worst]), float(rhs_v[worst])))
+                    rows.append((i, name, float(lhs_v[worst]), float(rhs_v[worst])))
     return rows
 
 
+def reference_csv(rows):
+    """The report CSV written row by row, one f-string per (agent, constraint, lhs, rhs) tuple."""
+    lines = ["agent,constraint,lhs,rhs,slack,pass\n"]
+    for agent, constraint, lhs, rhs in rows:
+        slack = lhs - rhs
+        lines.append(f"{agent},{constraint},{lhs:.12g},{rhs:.12g},{slack:.12g},{str(slack >= -1e-9).lower()}\n")
+    return "".join(lines)
+
+
 class TestInequalityTable:
-    """check_constraints against the written-out reference loop, bit for bit."""
+    """check_constraints and its CSV against the written-out reference loop and writer, bit for bit."""
 
     @staticmethod
     def bits(rows):
-        return [(row.agent, row.constraint, struct.pack("<dd", row.lhs, row.rhs)) for row in rows]
+        return [(agent, name, struct.pack("<dd", lhs, rhs)) for agent, name, lhs, rhs in rows]
 
     @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 251])
@@ -470,8 +486,35 @@ class TestInequalityTable:
                     for which in (fams, fams[::-1]):
                         got = check_constraints(f, sched, p, which)
                         want = reference_constraint_rows(f, sched, p, which)
-                        assert self.bits(got.rows) == self.bits(want)
-                        assert got.to_csv() == ConstraintReport(tuple(want)).to_csv()
+                        assert got.rows.dtype == ROW_DTYPE
+                        assert self.bits(got.rows.tolist()) == self.bits(want)
+                        assert got.to_csv() == reference_csv(want)
+
+    def test_csv_edge_values(self):
+        below = -np.nextafter(1e-9, 1.0)  # the first slack below -1e-9
+        rows = [(0, "bn-ic-high", 0.0, -0.0), (0, "bn-ic-low", -0.0, 0.0), (0, "iir-high", -0.0, -0.0),
+                (1, "iir-low", 5e-324, 0.0), (1, "ds-ic-high", -5e-324, 0.0), (1, "ds-ic-low", 1e-300, -1e-300),
+                (2, "eir-high", 1e20, -1e20), (2, "eir-low", -1e20, 1.0),
+                (3, "bn-ic-high", 0.0, 1e-9), (3, "bn-ic-low", 0.0, -below), (3, "iir-high", 1.0, 1.0 + 1e-9)]
+        report = ConstraintReport(np.array(rows, ROW_DTYPE))
+        text = report.to_csv()
+        assert text == reference_csv(rows)
+        assert [line.rsplit(",", 2)[1:] for line in text.splitlines()[-3:]] == [
+            ["-1e-09", "true"], ["-1e-09", "false"], ["-1.00000008274e-09", "false"]]
+        assert text.splitlines()[1:3] == ["0,bn-ic-high,0,-0,0,true", "0,bn-ic-low,-0,0,-0,true"]
+        assert not report.ok
+        assert report.slack("bn-ic-low").tolist() == [-0.0, below]
+
+    def test_csv_chunk_boundaries(self, monkeypatch):
+        from noisemech import mechanism
+
+        rng = np.random.default_rng(5)
+        rows = [(i // 2, ("iir-high", "iir-low")[i % 2], *rng.normal(size=2)) for i in range(11)]
+        want = reference_csv(rows)
+        for chunk in (1, 2, 3, 10, 11, 12):
+            monkeypatch.setattr(mechanism, "_CSV_CHUNK", chunk)
+            assert ConstraintReport(np.array(rows, ROW_DTYPE)).to_csv() == want
+        assert ConstraintReport(np.array([], ROW_DTYPE)).to_csv() == "agent,constraint,lhs,rhs,slack,pass\n"
 
 
 def test_expost_families_evaluated_once_per_anonymous_rule(monkeypatch):
@@ -488,7 +531,7 @@ def test_expost_families_evaluated_once_per_anonymous_rule(monkeypatch):
     f, p = threshold_function(251, 3.0), MechanismParams(251, 0.2, 0.4)
     report = check_constraints(f, optimal_interim_transfers(f, p), p, ("ds-ic", "eir"))
     assert calls == ["ds-ic", "eir"]
-    assert len(report.rows) == 4 * 251 and len({(r.constraint, r.lhs, r.rhs) for r in report.rows}) == 4
+    assert len(report.rows) == 4 * 251 and len(set(report.rows[["constraint", "lhs", "rhs"]].tolist())) == 4
 
 
 class TestPropositions:

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end with small arguments."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -72,3 +73,26 @@ def test_benchmark_self_test():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-test passed" in proc.stdout
+
+
+def test_tracer_counts_constraint_rows(tmp_path):
+    # `run.py --trace 1` records len(result.rows) of check_constraints: one row per agent and inequality
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmark" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from noisemech import cli
+
+    n = 7
+    rule = tmp_path / "rule.fn"
+    rule.write_text(f"kind=threshold\nn={n}\ntheta=1\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        assert cli.main(["transfers", "--spec", str(rule), "--delta", "0.2", "--report-out",
+                         str(tmp_path / "report.csv"), "--out", str(tmp_path / "transfers.txt")]) == 0
+    finally:
+        tracer.uninstall()
+    assert [details for name, *_, details in tracer.spans if name == "mechanism.check_constraints"] == [
+        {"rows": 4 * n}]
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 1 + 4 * n
