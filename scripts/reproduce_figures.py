@@ -18,7 +18,7 @@ import numpy as np
 from noisemech.gaussian import INV_SQRT_2PI
 from noisemech.mechanism import MechanismParams
 from noisemech.noise import MAX_EXACT_COUNT_N
-from noisemech.optimize import frontier_csv, majority_curve, majority_curve_csv, pareto_frontier
+from noisemech.optimize import frontier_csv, majority_curve, pareto_frontier
 
 
 def main() -> int:
@@ -41,7 +41,7 @@ def main() -> int:
     deltas = list(np.arange(0.0, 0.5 + 1e-12, args.delta_step))
     finite = majority_curve(args.n, deltas)
     limit = majority_curve(None, deltas)
-    (outdir / "fig_majority.csv").write_text(majority_curve_csv(finite + limit))
+    (outdir / "fig_majority.csv").write_text(frontier_csv(finite + limit))
     print(f"wrote {outdir / 'fig_majority.csv'} ({len(finite) + len(limit)} rows)")
 
     r_grid = list(np.linspace(1e-4, INV_SQRT_2PI, args.r_points))

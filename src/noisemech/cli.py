@@ -32,7 +32,8 @@ class UsageError(Exception):
 def parse_grid(text: str) -> list[float]:
     """start:stop:step (endpoints inclusive within 1e-12), a comma list, or one value.
 
-    Values must be finite, and a range may hold at most MAX_GRID_POINTS points.
+    A grid holds at least one value, values must be finite, and a range may
+    hold at most MAX_GRID_POINTS points.
     """
     if ":" in text:
         parts = text.split(":")
@@ -58,6 +59,8 @@ def parse_grid(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise UsageError(f"could not parse grid {text!r}") from None
+    if not values:
+        raise UsageError(f"grid {text!r} holds no values")
     if not all(map(math.isfinite, values)):
         raise UsageError(f"grid values must be finite, got {text!r}")
     return values
@@ -314,7 +317,7 @@ def _cmd_frontier(cfg: RunConfig) -> int:
 
 def _cmd_majority_curve(cfg: RunConfig) -> int:
     points = optimize.majority_curve(cfg.n, cfg.delta_grid)
-    _emit(optimize.majority_curve_csv(points), cfg.out)
+    _emit(optimize.frontier_csv(points), cfg.out)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Scalar and bivariate Gaussian kit plus the closed-form large-n limits.
 
 Everything here is deterministic and stateless. The scalar cdf rides on the
-C library's erfc; its inverse and the inverse density are found by bracketed
-bisection polished with Newton steps rather than any special-function
-inverse, so results are bit-stable across platforms. The bivariate cdf uses
+C library's erfc; its inverse is the standard library's (statistics.NormalDist,
+Wichura's AS241 rational approximations, accurate to the far tail), and the
+inverse density is a closed form with one Newton step. The bivariate cdf uses
 a fixed 128-node Gauss-Legendre rule on the arcsin-substituted single
 integral, never Monte Carlo, because frontier tables must reproduce exactly.
 """
@@ -19,9 +19,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
 MAX_REVENUE_TARGET = INV_SQRT_2PI + 1e-12  # the largest r accepted: feasibility's 1e-12 slack above the limit
 
-_BISECT_WIDTH = 1e-13
-_MAX_ITER = 200
-
 
 def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) * INV_SQRT_2PI
@@ -36,31 +33,12 @@ def norm_ccdf(x: float) -> float:
 
 
 def norm_quantile(p: float) -> float:
-    """Inverse cdf on (0, 1) by expanding bracket, bisection, and Newton polish."""
+    """Inverse cdf on (0, 1); nan and the endpoints raise rather than return nan or +-inf."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    lo, hi = -1.0, 1.0
-    while norm_cdf(lo) > p:
-        lo *= 2.0
-    while norm_cdf(hi) < p:
-        hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        fx = norm_cdf(x) - p
-        if fx > 0.0:
-            hi = x
-        elif fx < 0.0:
-            lo = x
-        else:
-            return x
-        dens = norm_pdf(x)
-        nxt = x - fx / dens if dens > 0.0 else 0.5 * (lo + hi)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if hi - lo < _BISECT_WIDTH or nxt == x:
-            return nxt
-        x = nxt
-    return x
+    from statistics import NormalDist  # imported here: it loads fractions and decimal, which no command needs
+
+    return NormalDist().inv_cdf(p)
 
 
 def phi_inv_plus(r: float) -> float:
@@ -147,14 +125,21 @@ def privacy_convert(direction: str, value: float) -> float:
     """Map between the privacy budget eps and the flip probability delta.
 
     eps_to_delta returns the minimal delta attaining an eps-differentially
-    private flip channel, delta = 1/(1 + e^eps); delta_to_eps inverts it.
+    private flip channel, delta = 1/(1 + e^eps); delta_to_eps inverts it,
+    eps = log((1 - delta)/delta). Both are evaluated in forms with no
+    intermediate overflow and no cancellation: e^-eps/(1 + e^-eps), and
+    log1p(-delta) - log(delta) below delta = 1/4 (where 1/delta may overflow)
+    or log1p((1 - 2 delta)/delta) above it (where 1 - 2 delta is exact).
     """
     if direction == "eps_to_delta":
         if value <= 0.0:
             raise ValueError("eps must be positive (otherwise delta >= 1/2, outside the model)")
-        return 1.0 / (1.0 + math.exp(value))
+        tail = math.exp(-value)
+        return tail / (1.0 + tail)
     if direction == "delta_to_eps":
         if not 0.0 < value < 0.5:
             raise ValueError(f"delta must lie in (0, 0.5), got {value}")
-        return math.log((1.0 - value) / value)
+        if value < 0.25:
+            return math.log1p(-value) - math.log(value)
+        return math.log1p((1.0 - 2.0 * value) / value)
     raise ValueError(f"unknown direction: {direction!r}")

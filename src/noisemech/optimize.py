@@ -49,6 +49,7 @@ class FrontierPoint:
     provision probability (for min-bias points, the exact LP value including
     the fractional boundary weight); `ns_high` records the mirrored
     high-cutoff candidate's noise sensitivity alongside the emitted one.
+    The majority curve's points fix b = 1 and threshold 0 (see majority_curve).
     """
 
     regime: str
@@ -375,29 +376,13 @@ def pareto_frontier(
     return points
 
 
-@dataclass(frozen=True)
-class MajorityCurvePoint:
-    """One point of the majority rule's revenue / noise-sensitivity curve.
-
-    `revenue_over_sqrt_n` is (1-2 delta) E[max(sum x_i, 0)] / sqrt(n), the
-    bias-free revenue term that survives the sqrt(n) normalization (finite),
-    or its limit (1-2 delta)/sqrt(2 pi).
-    """
-
-    n: float
-    delta: float
-    revenue_over_sqrt_n: float
-    ns: float
-    revenue_normalized: float
-    mean: float
-    surplus_per_capita: float
-
-
-def majority_curve(n: Optional[int], delta_grid: Iterable[float]) -> list[MajorityCurvePoint]:
+def majority_curve(n: Optional[int], delta_grid: Iterable[float]) -> list[FrontierPoint]:
     """Trace the majority rule across noise levels; n=None gives the limit curve.
 
-    Surplus is reported at b = 1, the bias under which the revenue formula
-    has no E[f] term (the term the curve drops as asymptotically negligible).
+    Each point has b = 1, the bias under which the revenue formula has no
+    E[f] term (the term the curve drops as asymptotically negligible), and
+    threshold 0. Its `r` is the x-axis value R/sqrt(n) = (1-2 delta)
+    E[max(sum x_i, 0)] / sqrt(n) at finite n, or its limit (1-2 delta)/sqrt(2 pi).
     """
     deltas = [float(d) for d in delta_grid]
     for d in deltas:
@@ -405,12 +390,8 @@ def majority_curve(n: Optional[int], delta_grid: Iterable[float]) -> list[Majori
             raise ValueError(f"delta grid values must lie in [0, 0.5], got {d}")
     if n is None:
         return [
-            MajorityCurvePoint(
-                math.inf, d,
-                (1.0 - 2.0 * d) * gaussian.INV_SQRT_2PI,
-                gaussian.majority_asymptotics(d, 1).ns,
-                gaussian.INV_SQRT_2PI, 0.5, 0.25,
-            )
+            FrontierPoint("asymptotic", math.inf, d, 1.0, (1.0 - 2.0 * d) * gaussian.INV_SQRT_2PI, 0.0,
+                          gaussian.majority_asymptotics(d, 1).ns, 0.25, gaussian.INV_SQRT_2PI, 0.5)
             for d in deltas
         ]
     if not 1 <= n <= MAX_EXACT_COUNT_N:
@@ -420,11 +401,9 @@ def majority_curve(n: Optional[int], delta_grid: Iterable[float]) -> list[Majori
     table = threshold_table(MechanismParams(n, 0.25, 1.0))
     mean, e_nu_plus = float(table.mean[j0]), float(table.efnu[j0])
     return [
-        MajorityCurvePoint(
-            n, d, (1.0 - 2.0 * d) * e_nu_plus / math.sqrt(n), float(threshold_ns_table(n, d)[j0]),
-            e_nu_plus / math.sqrt(n), mean,
-            0.5 * mean + (1.0 - 2.0 * d) * e_nu_plus / (2.0 * n),
-        )
+        FrontierPoint("finite", n, d, 1.0, (1.0 - 2.0 * d) * e_nu_plus / math.sqrt(n), 0.0,
+                      float(threshold_ns_table(n, d)[j0]), 0.5 * mean + (1.0 - 2.0 * d) * e_nu_plus / (2.0 * n),
+                      e_nu_plus / math.sqrt(n), mean)
         for d in deltas
     ]
 
@@ -436,22 +415,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _csv(rows: Iterable[Sequence[str]]) -> str:
-    return "\n".join([CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
-
-
 def frontier_csv(points: Sequence[FrontierPoint]) -> str:
-    return _csv([p.regime, *map(_fmt, (p.n, p.delta, p.b, p.r, p.threshold, p.ns, p.surplus_per_capita,
-                                        p.revenue_normalized))] for p in points)
-
-
-def majority_curve_csv(points: Sequence[MajorityCurvePoint]) -> str:
-    """Majority curve in the shared schema.
-
-    The r column carries the x-axis value R/sqrt(n); the b column is fixed
-    at 1.0, the bias under which the revenue formula has no E[f] term, which
-    is the term the curve drops as asymptotically negligible.
-    """
-    return _csv(["finite" if math.isfinite(p.n) else "asymptotic", _fmt(p.n), _fmt(p.delta), "1",
-                 _fmt(p.revenue_over_sqrt_n), "0", _fmt(p.ns), _fmt(p.surplus_per_capita),
-                 _fmt(p.revenue_normalized)] for p in points)
+    rows = [",".join([p.regime, *map(_fmt, (p.n, p.delta, p.b, p.r, p.threshold, p.ns, p.surplus_per_capita,
+                                             p.revenue_normalized))]) for p in points]
+    return "\n".join([CSV_HEADER] + rows) + "\n"

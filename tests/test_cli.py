@@ -56,6 +56,16 @@ class TestParseArgs:
         assert len(cfg.r_grid) == 35
         assert cfg.r_grid[-1] == pytest.approx(0.39)
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "oracle-n2", "--r-grid", ","],
+        ["frontier", "--delta", "0.2", "--r-grid", ","],
+        ["majority-curve", "--n", "11", "--delta-grid", ","],
+    ], ids=["verify", "frontier", "majority-curve"])
+    def test_empty_grid(self, capsys, command):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "usage error: grid ',' holds no values\n"
+
     def test_delta_out_of_range(self, maj_file):
         with pytest.raises(UsageError, match=r"delta must be in \(0, 0.5\)"):
             parse_args(["analyze", "--spec", maj_file, "--delta", "0.7"])
@@ -247,6 +257,11 @@ class TestPrivacyCommand:
         assert main(["privacy", "--delta", "0.25"]) == 0
         eps = float(capsys.readouterr().out.split("=")[1])
         assert eps == pytest.approx(math.log(3.0), abs=1e-10)  # printed at 12 significant digits
+
+    def test_huge_eps(self, capsys):
+        assert main(["privacy", "--eps", "1000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "delta = 0\n" and captured.err == ""
 
 
 class TestDeterminism:

@@ -49,3 +49,29 @@ def test_layer_order():
     upward = [f"{name} imports {dep}" for name, layer in LAYERS.items()
               for dep in sorted(_package_imports(PACKAGE / f"{name}.py")) if LAYERS[dep] >= layer]
     assert upward == []
+
+
+def test_init_imports_nothing():
+    # each public name has one import path: the module that defines it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def _top_level_names(path: Path) -> set[str]:
+    """Public names that one module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_each_public_name_defined_once():
+    homes: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _top_level_names(path):
+            homes.setdefault(name, []).append(path.stem)
+    assert {name: stems for name, stems in homes.items() if len(stems) > 1} == {}

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ class TestScalars:
         for p in (0.0, 1.0):
             with pytest.raises(ValueError):
                 norm_quantile(p)
+
+    def test_quantile_rejects_nan(self):
+        with pytest.raises(ValueError):
+            norm_quantile(math.nan)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-200, 1e-100, 1e-20, 0.5, 1.0 - 1e-12])
+    def test_quantile_far_tails(self, p):
+        assert norm_cdf(norm_quantile(p)) / p == pytest.approx(1.0, abs=1e-12)
 
     def test_cdf_ccdf_complement(self):
         for x in np.arange(-5, 5.1, 0.5):
@@ -222,6 +231,27 @@ class TestPrivacyConvert:
 
     def test_large_eps_small_delta(self):
         assert privacy_convert("eps_to_delta", 40.0) < 1e-15
+
+    def test_finite_at_the_extremes(self):
+        # e^1000 and (1 - delta)/delta at a subnormal delta overflow a double
+        assert privacy_convert("eps_to_delta", 1000.0) == 0.0
+        assert privacy_convert("delta_to_eps", 1e-320) == pytest.approx(736.827240891, rel=1e-11, abs=0)
+        assert privacy_convert("delta_to_eps", 5e-324) == pytest.approx(-math.log(5e-324), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("delta", [0.3, 0.4999, 0.4999999999, 0.4999999999999987])
+    def test_delta_to_eps_near_one_half(self, delta):
+        # eps -> 0 here, so a difference of two logs near -log 2 would lose its leading digits
+        ctx = Context(prec=60)  # the default 28 digits would round 1 - delta
+        exact = ctx.ln(ctx.divide(ctx.subtract(1, Decimal(delta)), Decimal(delta)))
+        assert privacy_convert("delta_to_eps", delta) == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 1.0986, 3.0, 10.0, 50.0])
+    def test_eps_to_delta_matches_direct_form(self, eps):
+        assert privacy_convert("eps_to_delta", eps) == pytest.approx(1.0 / (1.0 + math.exp(eps)), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.25, 0.4999, 1e-10])
+    def test_delta_to_eps_matches_direct_form(self, delta):
+        assert privacy_convert("delta_to_eps", delta) == pytest.approx(math.log((1.0 - delta) / delta), rel=1e-12, abs=0)
 
     def test_rejects_out_of_model(self):
         with pytest.raises(ValueError):

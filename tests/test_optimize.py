@@ -12,7 +12,6 @@ from noisemech.optimize import (
     InfeasibleTargetError,
     OracleResult,
     majority_curve,
-    majority_curve_csv,
     frontier_csv,
     min_bias_threshold,
     ns_min_bruteforce,
@@ -386,9 +385,9 @@ class TestMajorityCurve:
     def test_asymptotic_endpoints(self):
         pts = majority_curve(None, [0.0, 0.5])
         assert pts[0].ns == 0.0
-        assert pts[0].revenue_over_sqrt_n == pytest.approx(INV_SQRT_2PI, abs=1e-12)
+        assert pts[0].r == pytest.approx(INV_SQRT_2PI, abs=1e-12)
         assert pts[1].ns == pytest.approx(0.5, abs=1e-12)
-        assert pts[1].revenue_over_sqrt_n == pytest.approx(0.0, abs=1e-12)
+        assert pts[1].r == pytest.approx(0.0, abs=1e-12)
 
     def test_n101_close_to_asymptote(self):
         pts = majority_curve(101, [0.1])
@@ -448,10 +447,12 @@ class TestCsvEmission:
         assert lines[1].startswith("asymptotic,inf,0.1,0,0.3989,")
 
     def test_majority_csv_schema(self):
-        text = majority_curve_csv(majority_curve(101, [0.0, 0.25, 0.5]))
+        text = frontier_csv(majority_curve(101, [0.0, 0.25, 0.5]) + majority_curve(None, [0.25]))
         lines = text.strip().splitlines()
         assert lines[0] == "regime,n,delta,b,r,threshold,ns,surplus_per_capita,revenue_normalized"
-        assert len(lines) == 4
+        assert len(lines) == 5
+        assert [line.split(",")[:2] for line in lines[1:]] == [["finite", "101"]] * 3 + [["asymptotic", "inf"]]
+        assert all(line.split(",")[3:6:2] == ["1", "0"] for line in lines[1:])  # b and threshold
 
 
 class TestOneCutoffEngine:
