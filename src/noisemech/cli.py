@@ -9,12 +9,13 @@ infeasibility or failed verification, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -181,11 +182,13 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     return cfg
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(pieces: Iterable[str], path: Optional[str]) -> None:
+    """Write the pieces in order to stdout, or to the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(pieces)
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -240,31 +243,36 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             "surplus_distortion_bound = "
             + _fmt(mechanism.surplus_distortion_bound(f, params, ns=ns_value))
         )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit(["\n".join(lines) + "\n"], cfg.out)
     return 0
+
+
+def _agent_lines(interim: mechanism.InterimProfile) -> Iterator[str]:
+    """The 'agent i: t_bar(-1) = ..., t_bar(+1) = ...' lines, each distinct pair formatted once."""
+    vm, vp = interim.v_minus, interim.v_plus
+    index, inverse = mechanism.distinct_rows(vm.view(np.int64), vp.view(np.int64))
+    pairs = [f"t_bar(-1) = {_fmt(lo)}, t_bar(+1) = {_fmt(hi)}\n"
+             for lo, hi in zip(vm[index].tolist(), vp[index].tolist())]
+    return (f"agent {i}: {pairs[k]}" for i, k in enumerate(inverse.tolist()))
 
 
 def _cmd_transfers(cfg: RunConfig) -> int:
     f = hypercube.build_function(Path(cfg.spec_path).read_text())
     params = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, cfg.setting)
     schedule = mechanism.optimal_interim_transfers(f, params)
-    lines = [f"setting = {params.setting}"]
-    for i in range(params.n):
-        lines.append(
-            f"agent {i}: t_bar(-1) = {_fmt(schedule.interim.v_minus[i])}, "
-            f"t_bar(+1) = {_fmt(schedule.interim.v_plus[i])}"
-        )
-    lines.append(f"expected_total_transfer = {_fmt(schedule.expected_total())}")
-    lines.append(f"revenue_formula = {_fmt(mechanism.revenue(f, params))}")
+    lines = [f"expected_total_transfer = {_fmt(schedule.expected_total())}",
+             f"revenue_formula = {_fmt(mechanism.revenue(f, params))}"]
     if schedule.anonymous_expost is not None:
-        lines.append("anonymous_expost = " + ",".join(_fmt(v) for v in schedule.anonymous_expost))
+        lines.append("anonymous_expost = " + ",".join(map(_fmt, schedule.anonymous_expost.tolist())))
     # interim families only: the min-norm ex-post vector reproduces the
     # interim pairs but is not itself a dominant-strategy implementation
     report = mechanism.check_constraints(f, schedule, params, ("bn-ic", "iir"))
     lines.append(f"constraints_pass = {str(report.ok).lower()}")
     if cfg.report_out is not None:  # first, so that an unwritable report path leaves stdout empty
-        Path(cfg.report_out).write_text(report.to_csv())
-    _emit("\n".join(lines) + "\n", cfg.out)
+        with open(cfg.report_out, "w") as out:
+            report.write_csv(out)
+    _emit(itertools.chain([f"setting = {params.setting}\n"], _agent_lines(schedule.interim), ["\n".join(lines) + "\n"]),
+          cfg.out)
     return 0
 
 
@@ -292,7 +300,7 @@ def _cmd_optimize(cfg: RunConfig) -> int:
         lines.append(f"feasible_count = {res.feasible_count}")
         if res.feasible_count == 0:
             lines.append("infeasible = true")
-            _emit("\n".join(lines) + "\n", cfg.out)
+            _emit(["\n".join(lines) + "\n"], cfg.out)
             return 1
         lines.append(f"min_ns = {_fmt(res.min_ns)}")
         lines.append(f"argmin_count = {len(res.argmin_functions)}")
@@ -300,7 +308,7 @@ def _cmd_optimize(cfg: RunConfig) -> int:
         lines.append(f"best_ltf_ns = {_fmt(res.best_ltf_ns)}")
         lines.append(f"best_ltf_threshold = {'nan' if res.best_ltf_threshold is None else res.best_ltf_threshold}")
         lines.append(f"ltf_gap = {_fmt(res.ltf_gap)}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit(["\n".join(lines) + "\n"], cfg.out)
     return 0
 
 
@@ -311,13 +319,13 @@ def _cmd_frontier(cfg: RunConfig) -> int:
     if not points:
         sys.stderr.write("infeasible: no grid point is attainable\n")
         return 1
-    _emit(optimize.frontier_csv(points), cfg.out)
+    _emit([optimize.frontier_csv(points)], cfg.out)
     return 0
 
 
 def _cmd_majority_curve(cfg: RunConfig) -> int:
     points = optimize.majority_curve(cfg.n, cfg.delta_grid)
-    _emit(optimize.frontier_csv(points), cfg.out)
+    _emit([optimize.frontier_csv(points)], cfg.out)
     return 0
 
 
@@ -368,7 +376,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             ok &= good
             lines.append(f"{name},{_fmt(err)},{_fmt(tol)},{str(good).lower()}")
     lines.append(f"suite_pass = {str(ok).lower()}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit(["\n".join(lines) + "\n"], cfg.out)
     return 0 if ok else 1
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -282,36 +282,57 @@ def optimal_interim_transfers(f: HypercubeFunction, params: MechanismParams) -> 
     return TransferSchedule(interim, expost, params.setting)
 
 
-ROW_DTYPE = np.dtype([("agent", np.int64), ("constraint", "U10"), ("lhs", np.float64), ("rhs", np.float64)])
-_CSV_CHUNK = 1 << 16  # to_csv holds per-row Python strings for this many rows at a time
+ROW_DTYPE = np.dtype([("agent", np.int64), ("constraint", np.uint8), ("lhs", np.float64), ("rhs", np.float64)])
+_CSV_CHUNK = 1 << 16  # write_csv holds per-row Python objects for this many rows at a time
+
+
+def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, inverse) of the distinct tuples across equal-length integer columns.
+
+    Row index[k] holds the k-th distinct tuple and row r holds tuple inverse[r].
+    Floats compare by their bit patterns (pass `.view(np.int64)`), so 0.0 and
+    -0.0 stay apart. Each column refines the codes of the ones before it, which
+    stay below the row count.
+    """
+    inverse = np.zeros(len(columns[0]), np.int64)
+    for column in columns:
+        values, code = np.unique(column, return_inverse=True)
+        _, inverse = np.unique(inverse * len(values) + code, return_inverse=True)
+    index = np.empty(inverse.max(initial=-1) + 1, np.int64)
+    index[inverse] = np.arange(inverse.size)  # any row of a tuple represents it
+    return index, inverse
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintReport:
-    """Rows (agent, constraint, lhs, rhs), agent-major; a row passes when lhs - rhs >= -CONSTRAINT_TOL."""
+    """Rows (agent, constraint, lhs, rhs), agent-major; a row passes when lhs - rhs >= -CONSTRAINT_TOL.
+
+    The constraint column holds codes into `names`.
+    """
 
     rows: np.ndarray
+    names: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return bool((self.rows["lhs"] - self.rows["rhs"] >= -CONSTRAINT_TOL).all())
 
     def slack(self, constraint: str) -> np.ndarray:
-        rows = self.rows[self.rows["constraint"] == constraint]
-        if rows.size == 0:
+        if constraint not in self.names:
             raise ValueError(f"constraint {constraint!r} is not in the report")
+        rows = self.rows[self.rows["constraint"] == self.names.index(constraint)]
         return rows["lhs"] - rows["rhs"]
 
-    def to_csv(self) -> str:
-        parts = ["agent,constraint,lhs,rhs,slack,pass\n"]
+    def write_csv(self, out: TextIO) -> None:
+        """Write the CSV to an open text file, formatting each distinct (constraint, lhs, rhs) of a chunk once."""
+        out.write("agent,constraint,lhs,rhs,slack,pass\n")
         for start in range(0, self.rows.size, _CSV_CHUNK):
             chunk = self.rows[start:start + _CSV_CHUNK]
-            slack = chunk["lhs"] - chunk["rhs"]
-            passed = np.where(slack >= -CONSTRAINT_TOL, "true", "false")
-            fields = (chunk[name].tolist() for name in ROW_DTYPE.names)
-            parts.append("".join(f"{i},{c},{lhs:.12g},{rhs:.12g},{s:.12g},{p}\n"
-                                 for i, c, lhs, rhs, s, p in zip(*fields, slack.tolist(), passed.tolist())))
-        return "".join(parts)
+            index, inverse = distinct_rows(chunk["constraint"], chunk["lhs"].view(np.int64),
+                                           chunk["rhs"].view(np.int64))
+            tails = [f",{self.names[c]},{lhs:.12g},{rhs:.12g},{lhs - rhs:.12g},"
+                     f"{str(lhs - rhs >= -CONSTRAINT_TOL).lower()}\n" for _, c, lhs, rhs in chunk[index].tolist()]
+            out.writelines(f"{i}{tails[k]}" for i, k in zip(chunk["agent"].tolist(), inverse.tolist()))
 
 
 def _expost_context_values(f: HypercubeFunction, t: np.ndarray, agent: int):
@@ -387,6 +408,7 @@ def check_constraints(
             ineqs += [(name, *worst[k]) for k, (name, _, _) in enumerate(family)]
     rows = np.empty((params.n, len(ineqs)), ROW_DTYPE)  # agent-major
     rows["agent"] = np.arange(params.n)[:, None]
-    for k, (name, lhs, rhs) in enumerate(ineqs):
-        rows["constraint"][:, k], rows["lhs"][:, k], rows["rhs"][:, k] = name, lhs, rhs
-    return ConstraintReport(rows.ravel())
+    rows["constraint"] = np.arange(len(ineqs))
+    for k, (_, lhs, rhs) in enumerate(ineqs):
+        rows["lhs"][:, k], rows["rhs"][:, k] = lhs, rhs
+    return ConstraintReport(rows.ravel(), tuple(name for name, _, _ in ineqs))

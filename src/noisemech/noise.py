@@ -4,7 +4,8 @@ Each coordinate of a uniform point x is independently flipped with
 probability delta, producing the received vector y. Dense functions get
 spectral formulas; anonymous functions get an exact joint law of the two
 vote counts (m_x, m_y), which keeps large-n computations closed form. A
-seeded Monte Carlo path covers sizes beyond the exact cutoff.
+seeded Monte Carlo path covers sizes beyond the exact cutoff; it streams its
+draws in fixed-size batches, so its memory does not grow with the sample count.
 
 The endpoints delta = 0 and delta = 1/2 are accepted here for limit checks
 even though the economic model keeps delta strictly inside (0, 1/2); the
@@ -35,6 +36,7 @@ from .hypercube import (
 MAX_EXACT_COUNT_N = 2000
 
 _MC_BATCH = 1 << 16
+_MC_FLIP_ROWS = 1 << 12  # flips are drawn this many rows at a time
 
 
 def _check_delta(delta: float) -> None:
@@ -132,26 +134,29 @@ def sensitivity_monte_carlo(
 ) -> MonteCarloEstimate:
     """Unbiased sampling estimate of P(f(x) != f(y)).
 
-    Batches draw from independent child streams of SeedSequence(seed), so a
-    future parallel execution of the batches reproduces the serial result.
+    Batch i of 2^16 samples draws from the child stream
+    SeedSequence(seed, spawn_key=(i,)), which equals SeedSequence(seed).spawn(k)[i],
+    so a future parallel execution of the batches reproduces the serial result.
+    A dense batch draws x, then its flips in slices of 2^12 rows, each packed
+    into a bit mask by one integer product: the stream is consumed in the order
+    of one (batch, n) draw, and memory stays O(2^16 + 2^12 n) whatever `samples`.
     The standard error is the binomial sqrt(p(1-p)/samples).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_sensitivity_args(f, delta)
 
-    n_batches = (samples + _MC_BATCH - 1) // _MC_BATCH
-    children = np.random.SeedSequence(seed).spawn(n_batches)
     disagreements = 0
-    remaining = samples
-    for child in children:
-        rng = np.random.Generator(np.random.Philox(child))
-        size = min(_MC_BATCH, remaining)
-        remaining -= size
+    for batch, start in enumerate(range(0, samples, _MC_BATCH)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(batch,))))
+        size = min(_MC_BATCH, samples - start)
         if isinstance(f, DenseFunction):
             x = rng.integers(0, 1 << f.n, size=size, dtype=np.int64)
-            flips = rng.random((size, f.n)) < delta
-            mask = (flips.astype(np.int64) << np.arange(f.n, dtype=np.int64)).sum(axis=1)
+            bits = np.int64(1) << np.arange(f.n, dtype=np.int64)
+            mask = np.empty(size, np.int64)
+            for row in range(0, size, _MC_FLIP_ROWS):
+                part = mask[row:row + _MC_FLIP_ROWS]
+                np.matmul(rng.random((part.size, f.n)) < delta, bits, out=part)
             disagreements += int(np.count_nonzero(f.values[x] != f.values[x ^ mask]))
         else:
             m_x = rng.binomial(f.n, 0.5, size=size)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from noisemech import cli, hypercube, noise, optimize
+from noisemech import cli, hypercube, mechanism, noise, optimize
 from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
 from noisemech.gaussian import INV_SQRT_2PI, MAX_REVENUE_TARGET
 from noisemech.noise import MAX_EXACT_COUNT_N
@@ -131,6 +131,22 @@ class TestTransfers:
         lines = report.read_text().strip().splitlines()
         assert lines[0] == "agent,constraint,lhs,rhs,slack,pass"
         assert len(lines) == 1 + 12
+
+    def test_agent_lines_match_per_agent_format(self, tmp_path, capsys):
+        # a weighted majority: agents of equal weight share a pair, each distinct pair is formatted once
+        n, weights = 6, np.array([1, 3, 1, 2, 3, 1])
+        cube = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        values = (cube @ weights >= weights.sum() / 2).astype(int)
+        spec = tmp_path / "weighted.fn"
+        spec.write_text(f"kind=dense\nn={n}\nvalues={','.join(map(str, values))}\n")
+        assert main(["transfers", "--spec", str(spec), "--delta", "0.15", "--b", "0.3"]) == 0
+        f = hypercube.build_function(spec.read_text())
+        interim = mechanism.optimal_interim_transfers(f, mechanism.MechanismParams(n, 0.15, 0.3)).interim
+        fmt = optimize._fmt
+        want = [f"agent {i}: t_bar(-1) = {fmt(interim.v_minus[i])}, t_bar(+1) = {fmt(interim.v_plus[i])}" for i in range(n)]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:n + 1] == want
+        assert len({line.split(": ", 1)[1] for line in want}) == 3
 
     def test_unwritable_report_path_writes_nothing(self, maj_file, tmp_path, capsys):
         out = tmp_path / "out.txt"

@@ -1,6 +1,8 @@
+import io
 import itertools
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -395,7 +397,7 @@ class TestCheckConstraints:
     def test_csv_shape(self):
         p = MechanismParams(3, 0.25, b=0.0)
         sched = optimal_interim_transfers(MAJ3, p)
-        text = check_constraints(MAJ3, sched, p, ("bn-ic", "iir")).to_csv()
+        text = csv_text(check_constraints(MAJ3, sched, p, ("bn-ic", "iir")))
         lines = text.strip().splitlines()
         assert lines[0] == "agent,constraint,lhs,rhs,slack,pass"
         assert len(lines) == 1 + 3 * 4
@@ -448,6 +450,24 @@ def reference_constraint_rows(f, transfers, params, families):
     return rows
 
 
+def csv_text(report):
+    out = io.StringIO()
+    report.write_csv(out)
+    return out.getvalue()
+
+
+def named_rows(report):
+    """The report's rows as (agent, constraint name, lhs, rhs) tuples."""
+    return [(agent, report.names[code], lhs, rhs) for agent, code, lhs, rhs in report.rows.tolist()]
+
+
+def report_of(rows):
+    """A ConstraintReport holding (agent, constraint name, lhs, rhs) tuples, names coded in order of appearance."""
+    names = tuple(dict.fromkeys(name for _, name, _, _ in rows))
+    coded = [(agent, names.index(name), lhs, rhs) for agent, name, lhs, rhs in rows]
+    return ConstraintReport(np.array(coded, ROW_DTYPE), names)
+
+
 def reference_csv(rows):
     """The report CSV written row by row, one f-string per (agent, constraint, lhs, rhs) tuple."""
     lines = ["agent,constraint,lhs,rhs,slack,pass\n"]
@@ -487,8 +507,8 @@ class TestInequalityTable:
                         got = check_constraints(f, sched, p, which)
                         want = reference_constraint_rows(f, sched, p, which)
                         assert got.rows.dtype == ROW_DTYPE
-                        assert self.bits(got.rows.tolist()) == self.bits(want)
-                        assert got.to_csv() == reference_csv(want)
+                        assert self.bits(named_rows(got)) == self.bits(want)
+                        assert csv_text(got) == reference_csv(want)
 
     def test_csv_edge_values(self):
         below = -np.nextafter(1e-9, 1.0)  # the first slack below -1e-9
@@ -496,8 +516,8 @@ class TestInequalityTable:
                 (1, "iir-low", 5e-324, 0.0), (1, "ds-ic-high", -5e-324, 0.0), (1, "ds-ic-low", 1e-300, -1e-300),
                 (2, "eir-high", 1e20, -1e20), (2, "eir-low", -1e20, 1.0),
                 (3, "bn-ic-high", 0.0, 1e-9), (3, "bn-ic-low", 0.0, -below), (3, "iir-high", 1.0, 1.0 + 1e-9)]
-        report = ConstraintReport(np.array(rows, ROW_DTYPE))
-        text = report.to_csv()
+        report = report_of(rows)
+        text = csv_text(report)
         assert text == reference_csv(rows)
         assert [line.rsplit(",", 2)[1:] for line in text.splitlines()[-3:]] == [
             ["-1e-09", "true"], ["-1e-09", "false"], ["-1.00000008274e-09", "false"]]
@@ -513,8 +533,38 @@ class TestInequalityTable:
         want = reference_csv(rows)
         for chunk in (1, 2, 3, 10, 11, 12):
             monkeypatch.setattr(mechanism, "_CSV_CHUNK", chunk)
-            assert ConstraintReport(np.array(rows, ROW_DTYPE)).to_csv() == want
-        assert ConstraintReport(np.array([], ROW_DTYPE)).to_csv() == "agent,constraint,lhs,rhs,slack,pass\n"
+            assert csv_text(report_of(rows)) == want
+        assert csv_text(ConstraintReport(np.array([], ROW_DTYPE), ())) == "agent,constraint,lhs,rhs,slack,pass\n"
+
+
+    def test_csv_tells_signed_zeros_apart(self, monkeypatch):
+        # rows that compare equal as floats but print differently must not share a formatted tail
+        from noisemech import mechanism
+
+        pairs = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)] * 2
+        rows = [(i, name, lhs, rhs) for i, (lhs, rhs) in enumerate(pairs) for name in ("iir-low", "bn-ic-low")]
+        want = reference_csv(rows)
+        assert len(set(want.splitlines()[1:5])) == 4
+        for chunk in (1, 3, 1 << 16):
+            monkeypatch.setattr(mechanism, "_CSV_CHUNK", chunk)
+            assert csv_text(report_of(rows)) == want
+
+    def test_csv_write_memory_is_bounded(self, tmp_path):
+        # the CSV is streamed to the file: the write holds one chunk's rows, never the whole text
+        n = 100_000
+        f, p = threshold_function(n, 0.0), MechanismParams(n, 0.2, 0.0)
+        report = check_constraints(f, optimal_interim_transfers(f, p), p, ("bn-ic", "iir"))
+        path = tmp_path / "report.csv"
+        tracemalloc.start()
+        try:
+            with open(path, "w") as out:
+                report.write_csv(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == 4 * n
+        assert peak <= 8 * 2**20, peak / 2**20
+        assert path.read_text() == reference_csv(named_rows(report))
 
 
 def test_expost_families_evaluated_once_per_anonymous_rule(monkeypatch):

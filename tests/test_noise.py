@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from noisemech.hypercube import (
 from noisemech.noise import (
     MAX_EXACT_COUNT_N,
     JointCountDistribution,
+    MonteCarloEstimate,
     joint_count_distribution,
     noise_operator,
     sensitivity_exact,
@@ -401,3 +403,59 @@ class TestMonteCarlo:
             sensitivity_monte_carlo(DICTATOR, 0.1, 0, seed=1)
         with pytest.raises(ValueError):
             sensitivity_monte_carlo(DenseFunction(1, [0.0, 0.5]), 0.1, 10, seed=1)
+
+
+def full_batch_monte_carlo(f, delta, samples, seed):
+    """The dense sampler with each batch's flips drawn as one (batch, n) array and a spawned list of child streams."""
+    batch = 1 << 16
+    children = np.random.SeedSequence(seed).spawn((samples + batch - 1) // batch)
+    disagreements, remaining = 0, samples
+    for child in children:
+        rng = np.random.Generator(np.random.Philox(child))
+        size = min(batch, remaining)
+        remaining -= size
+        x = rng.integers(0, 1 << f.n, size=size, dtype=np.int64)
+        flips = rng.random((size, f.n)) < delta
+        mask = (flips.astype(np.int64) << np.arange(f.n, dtype=np.int64)).sum(axis=1)
+        disagreements += int(np.count_nonzero(f.values[x] != f.values[x ^ mask]))
+    p_hat = disagreements / samples
+    return MonteCarloEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / samples))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloStreaming:
+    """The dense sampler draws flips in slices of rows and builds child streams on demand, bit-identically."""
+
+    @pytest.mark.parametrize("n", [1, 13, 18])
+    def test_bit_identical_to_full_batch_draws(self, n):
+        f = DenseFunction(n, np.random.default_rng(n).integers(0, 2, 1 << n).astype(np.float64))
+        for samples in (1, 4095, 4096, 4097, 65536, 65537, 100_000):
+            for delta in (0.0, 0.17, 0.5):
+                for seed in (3, 2**40 + 1):
+                    want = full_batch_monte_carlo(f, delta, samples, seed)
+                    assert sensitivity_monte_carlo(f, delta, samples, seed) == want, (samples, delta, seed)
+
+    def test_child_stream_on_demand_equals_spawned(self):
+        for seed in (0, 3, 2**40 + 1):
+            spawned = np.random.SeedSequence(seed).spawn(5)
+            for i, child in enumerate(spawned):
+                on_demand = np.random.SeedSequence(seed, spawn_key=(i,))
+                assert on_demand.generate_state(8).tolist() == child.generate_state(8).tolist()
+                assert (np.random.Generator(np.random.Philox(on_demand)).random(4).tolist()
+                        == np.random.Generator(np.random.Philox(child)).random(4).tolist())
+
+    def test_dense_memory_independent_of_samples(self):
+        f = DenseFunction(18, np.random.default_rng(18).integers(0, 2, 1 << 18).astype(np.float64))
+        peak_small = traced_peak(lambda: sensitivity_monte_carlo(f, 0.1, 10**5, seed=1))
+        peak_large = traced_peak(lambda: sensitivity_monte_carlo(f, 0.1, 10**6, seed=1))
+        assert peak_small <= 3 * 2**20
+        assert abs(peak_large - peak_small) <= 2**19

@@ -408,6 +408,26 @@ class TestMajorityCurve:
             assert all(3.8 <= a / b <= 4.3 for a, b in zip(gaps, gaps[1:])), (d, gaps)
 
 
+class TestMajorityRevenueRate:
+    """The majority's normalized revenue at b = 1, r_n = E[nu+]/sqrt(n), against its limit 1/sqrt(2 pi)."""
+
+    @staticmethod
+    def r(n):
+        table = threshold_table(MechanismParams(n, 0.1, b=1.0))
+        return table.revenue_normalized[np.searchsorted(table.nu, 1)]  # 1{nu > 0}; a tie nu = 0 adds nothing
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 100, 101, 1000, 1001, 10**4, 10**5 + 1, 10**6])
+    def test_berry_esseen(self, n):
+        assert abs(self.r(n) - INV_SQRT_2PI) <= 0.4748 / math.sqrt(n)
+
+    @pytest.mark.parametrize("n", [100, 101, 1000, 1001, 10**4, 10**5 + 1, 10**6])
+    def test_error_is_one_over_4_sqrt_2pi_n(self, n):
+        # the sharper rate: n |r_n - 1/sqrt(2 pi)| -> 1/(4 sqrt(2 pi)), above the limit for odd n, below for even
+        err = self.r(n) - INV_SQRT_2PI
+        assert n * abs(err) == pytest.approx(INV_SQRT_2PI / 4, rel=0.03)
+        assert (err > 0) == (n % 2 == 1)
+
+
 class TestStructuralInvariants:
     def test_monotone_anonymous_boolean_is_threshold(self):
         # so constrained minima over monotone anonymous rules come from cutoff search

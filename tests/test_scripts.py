@@ -1,6 +1,7 @@
 """The experiment scripts run end to end with small arguments."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -73,6 +74,16 @@ def test_benchmark_self_test():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-test passed" in proc.stdout
+
+
+@pytest.mark.parametrize("workload", ["rule-analysis", "dense-audit"])
+def test_benchmark_smoke(workload):
+    # one traced second of each workload that calls the Monte Carlo sampler: every job's check must pass
+    proc = subprocess.run([sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload", workload, "--seed", "1",
+                           "--seconds", "1", "--trace", "1"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
 
 
 def test_tracer_counts_constraint_rows(tmp_path):
