@@ -12,7 +12,6 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -67,30 +66,6 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: one command plus its economy and sweep flags."""
-
-    command: str
-    delta: Optional[float] = None
-    b: float = 0.0
-    n: Optional[int] = None
-    setting: str = "noisy-report"
-    spec_path: Optional[str] = None
-    out: Optional[str] = None
-    report_out: Optional[str] = None
-    r: Optional[float] = None
-    r_grid: list[float] = field(default_factory=list)
-    delta_grid: list[float] = field(default_factory=list)
-    regime: str = "asymptotic"
-    task: Optional[str] = None
-    scope: str = "all-boolean"
-    suite: Optional[str] = None
-    mc_samples: Optional[int] = None
-    seed: int = 0
-    eps: Optional[float] = None
-
-
 @lru_cache(maxsize=1)  # built once per process: parsing keeps no state in the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="noisemech", description=__doc__.splitlines()[0])
@@ -102,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--setting", choices=mechanism.SETTINGS, default="noisy-report")
 
     p = sub.add_parser("analyze", help="statistics of one allocation rule")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--spec", dest="spec_path", required=True)
     econ(p)
     p.add_argument("--mc-samples", type=int, default=None)
@@ -109,12 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("transfers", help="optimal transfers and constraint report")
+    p.set_defaults(handler=_cmd_transfers)
     p.add_argument("--spec", dest="spec_path", required=True)
     econ(p)
     p.add_argument("--report-out", default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("optimize", help="threshold optimizers and oracles")
+    p.set_defaults(handler=_cmd_optimize)
     p.add_argument("--task", required=True,
                    choices=["revenue-max", "surplus-max", "min-bias", "ns-min"])
     p.add_argument("--n", type=int, required=True)
@@ -125,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("frontier", help="noise-sensitivity / revenue frontier CSV")
+    p.set_defaults(handler=_cmd_frontier)
     econ(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--regime", choices=["finite", "asymptotic"], default="asymptotic")
@@ -132,33 +111,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("majority-curve", help="majority rule curve CSV")
+    p.set_defaults(handler=_cmd_majority_curve)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--delta-grid", type=parse_grid, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", required=True, choices=["oracle-n2", "oracle-n4", "identities"])
     econ(p, delta=0.1)
     p.add_argument("--r-grid", type=parse_grid, default="0.05:0.35:0.05")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("privacy", help="convert between eps and delta")
+    p.set_defaults(handler=_cmd_privacy)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--eps", type=float)
     group.add_argument("--delta", type=float)
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The validated namespace of one command: the flags it defines and its handler, nothing else."""
     if not argv:
         raise UsageError("a command is required; see --help")
-    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
-    if cfg.command == "privacy":
-        if cfg.eps is not None and not 0.0 < cfg.eps < math.inf:
-            raise UsageError("eps must be positive and finite")
-        if cfg.delta is not None and not 0.0 < cfg.delta < 0.5:
-            raise UsageError("delta must be in (0, 0.5)")
-        return cfg
+    cfg = _build_parser().parse_args(argv)
+    opts = vars(cfg)
     if cfg.command == "majority-curve":
         for d in cfg.delta_grid:
             if not 0.0 <= d <= 0.5:
@@ -166,18 +144,24 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         return cfg
     if cfg.delta is not None and not 0.0 < cfg.delta < 0.5:
         raise UsageError("delta must be in (0, 0.5)")
+    if cfg.command == "privacy":
+        if cfg.eps is not None and not 0.0 < cfg.eps < math.inf:
+            raise UsageError("eps must be positive and finite")
+        if cfg.eps is not None and (delta := gaussian.privacy_convert("eps_to_delta", cfg.eps)) in (0.0, 0.5):
+            raise UsageError(f"eps = {_fmt(cfg.eps)} rounds delta to {_fmt(delta)}, outside (0, 0.5)")
+        return cfg
     if not 0.0 <= cfg.b <= 1.0:
         raise UsageError("b must be in [0, 1]")
-    for r in cfg.r_grid + ([cfg.r] if cfg.r is not None else []):
-        if not 0.0 < r <= gaussian.MAX_REVENUE_TARGET:
+    for r in [*opts.get("r_grid", ()), opts.get("r")]:
+        if r is not None and not 0.0 < r <= gaussian.MAX_REVENUE_TARGET:
             raise UsageError("r must be in (0, 1/sqrt(2 pi)]")
     if cfg.command == "optimize" and cfg.task != "revenue-max" and cfg.r is None:
         raise UsageError(f"--r is required for task {cfg.task}")
     if cfg.command == "frontier" and cfg.regime == "finite" and cfg.n is None:
         raise UsageError("--n is required for the finite regime")
-    if cfg.mc_samples is not None and cfg.mc_samples < 1:
+    if opts.get("mc_samples") is not None and cfg.mc_samples < 1:
         raise UsageError("mc-samples must be >= 1")
-    if cfg.seed < 0:
+    if opts.get("seed", 0) < 0:
         raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
     return cfg
 
@@ -191,7 +175,7 @@ def _emit(pieces: Iterable[str], path: Optional[str]) -> None:
             out.writelines(pieces)
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
+def _cmd_analyze(cfg: argparse.Namespace) -> int:
     f = hypercube.build_function(Path(cfg.spec_path).read_text())
     params = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, cfg.setting)
     alt = "imperfect-knowledge" if cfg.setting == "noisy-report" else "noisy-report"
@@ -256,7 +240,7 @@ def _agent_lines(interim: mechanism.InterimProfile) -> Iterator[str]:
     return (f"agent {i}: {pairs[k]}" for i, k in enumerate(inverse.tolist()))
 
 
-def _cmd_transfers(cfg: RunConfig) -> int:
+def _cmd_transfers(cfg: argparse.Namespace) -> int:
     f = hypercube.build_function(Path(cfg.spec_path).read_text())
     params = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, cfg.setting)
     schedule = mechanism.optimal_interim_transfers(f, params)
@@ -276,7 +260,7 @@ def _cmd_transfers(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_optimize(cfg: RunConfig) -> int:
+def _cmd_optimize(cfg: argparse.Namespace) -> int:
     params = mechanism.MechanismParams(cfg.n, cfg.delta, cfg.b, cfg.setting)
     lines = []
     if cfg.task == "revenue-max":
@@ -312,7 +296,7 @@ def _cmd_optimize(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_frontier(cfg: RunConfig) -> int:
+def _cmd_frontier(cfg: argparse.Namespace) -> int:
     n = cfg.n if cfg.regime == "finite" else 1
     params = mechanism.MechanismParams(n, cfg.delta, cfg.b, cfg.setting)
     points = optimize.pareto_frontier(params, cfg.r_grid, cfg.regime)
@@ -323,13 +307,13 @@ def _cmd_frontier(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_majority_curve(cfg: RunConfig) -> int:
+def _cmd_majority_curve(cfg: argparse.Namespace) -> int:
     points = optimize.majority_curve(cfg.n, cfg.delta_grid)
     _emit([optimize.frontier_csv(points)], cfg.out)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     lines = []
     ok = True
     if cfg.suite in ("oracle-n2", "oracle-n4"):
@@ -380,7 +364,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_privacy(cfg: RunConfig) -> int:
+def _cmd_privacy(cfg: argparse.Namespace) -> int:
     if cfg.eps is not None:
         delta = gaussian.privacy_convert("eps_to_delta", cfg.eps)
         sys.stdout.write(f"delta = {_fmt(delta)}\n")
@@ -390,20 +374,9 @@ def _cmd_privacy(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "transfers": _cmd_transfers,
-    "optimize": _cmd_optimize,
-    "frontier": _cmd_frontier,
-    "majority-curve": _cmd_majority_curve,
-    "verify": _cmd_verify,
-    "privacy": _cmd_privacy,
-}
-
-
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return cfg.handler(cfg)
     except optimize.InfeasibleTargetError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 1

@@ -284,14 +284,12 @@ def monotonicity_check(f: HypercubeFunction, kind: str) -> bool:
     if not f.is_unit_range:
         raise ValueError("monotonicity predicates are defined for unit-range functions")
 
+    if kind == "marginally-monotone":
+        return bool(np.all(f.degree1() >= -MONOTONE_TOL))
     if isinstance(f, AnonymousFunction):
-        if kind == "monotone":
-            return bool((np.diff(f.g) >= -MONOTONE_TOL).all())
-        return f.degree1() >= -MONOTONE_TOL
-    if kind == "monotone":
-        return all((hi - lo).min() >= -MONOTONE_TOL
-                   for lo, hi in (half_split(f.values, i) for i in range(f.n)))
-    return bool((_degree1_sums(f.values) / f.values.size >= -MONOTONE_TOL).all())
+        return bool((np.diff(f.g) >= -MONOTONE_TOL).all())
+    return all((hi - lo).min() >= -MONOTONE_TOL
+               for lo, hi in (half_split(f.values, i) for i in range(f.n)))
 
 
 def threshold_function(n: int, theta: float) -> AnonymousFunction:

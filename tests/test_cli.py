@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from noisemech import cli, hypercube, mechanism, noise, optimize
-from noisemech.cli import RunConfig, main, parse_args, parse_grid, UsageError
+from noisemech.cli import main, parse_args, parse_grid, UsageError
 from noisemech.gaussian import INV_SQRT_2PI, MAX_REVENUE_TARGET
 from noisemech.noise import MAX_EXACT_COUNT_N
 
@@ -87,11 +86,22 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["optimize", "--task", "min-bias", "--n", "50", "--delta", "0.1"])
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["transfers", "--spec", "rule.fn", "--delta", "0.1"],
+         {"spec_path", "delta", "b", "setting", "report_out", "out"}),
+        (["frontier", "--delta", "0.1", "--r-grid", "0.1"], {"delta", "b", "setting", "n", "regime", "r_grid", "out"}),
+        (["privacy", "--eps", "1"], {"eps", "delta"}),
+    ], ids=["transfers", "frontier", "privacy"])
+    def test_namespace_holds_only_its_own_flags(self, argv, flags):
+        # each flag is declared once, on the command that reads it: no other command's flag leaks in
+        cfg = parse_args(argv)
+        assert set(vars(cfg)) == flags | {"command", "handler"}
+        assert cfg.handler is getattr(cli, "_cmd_" + argv[0])
+
     def test_threads_env(self, maj_file, monkeypatch):
         # the former parallelism hint is gone: the variable is ignored
         monkeypatch.setenv("NOISEMECH_THREADS", "zero")
         cfg = parse_args(["analyze", "--spec", maj_file, "--delta", "0.1"])
-        assert "threads" not in {f.name for f in dataclasses.fields(RunConfig)}
         assert not hasattr(cfg, "threads")
 
 
@@ -118,6 +128,39 @@ class TestAnalyze:
         assert "falling back to Monte Carlo" in captured.err
         assert "ns_monte_carlo = " in captured.out
         assert "ns_exact" not in captured.out
+
+    def test_exact_at_the_cutoff_agrees_with_monte_carlo(self, tmp_path, capsys):
+        # n = MAX_EXACT_COUNT_N is still exact: no fallback, and a requested Monte Carlo line agrees within 5 stderr
+        spec = tmp_path / "edge.fn"
+        spec.write_text(f"kind=threshold\nn={MAX_EXACT_COUNT_N}\ntheta=0\n")
+        assert main(["analyze", "--spec", str(spec), "--delta", "0.1", "--mc-samples", "100000", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        got = dict(line.split(" = ", 1) for line in captured.out.splitlines())
+        exact, estimate, stderr = (float(got[k]) for k in ("ns_exact", "ns_monte_carlo", "ns_stderr"))
+        assert stderr > 0 and abs(estimate - exact) <= 5 * stderr
+
+
+class TestOneAgent:
+    """At n = 1 the threshold, anonymous and dense forms of the dictator give the same output."""
+
+    SPECS = ["kind=threshold\nn=1\ntheta=0\n", "kind=anonymous\nn=1\ng=0,1\n", "kind=dense\nn=1\nvalues=0,1\n"]
+
+    @pytest.mark.parametrize("setting", mechanism.SETTINGS)
+    def test_forms_agree(self, tmp_path, capsys, setting):
+        outputs = []
+        for i, text in enumerate(self.SPECS):
+            spec, report = tmp_path / f"rule{i}.fn", tmp_path / f"report{i}.csv"
+            spec.write_text(text)
+            econ = ["--spec", str(spec), "--delta", "0.2", "--b", "0.3", "--setting", setting]
+            assert main(["analyze", *econ]) == 0
+            assert main(["transfers", *econ, "--report-out", str(report)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            out = [line for line in captured.out.splitlines() if not line.startswith("kind = ")]
+            outputs.append((out, report.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "ns_exact = 0.2" in outputs[0][0] and "constraints_pass = true" in outputs[0][0]
 
 
 class TestTransfers:
@@ -275,9 +318,22 @@ class TestPrivacyCommand:
         assert eps == pytest.approx(math.log(3.0), abs=1e-10)  # printed at 12 significant digits
 
     def test_huge_eps(self, capsys):
-        assert main(["privacy", "--eps", "1000"]) == 0
+        # delta = 1/(1 + e^1000) rounds to 0: a usage error, as --delta 0 is
+        assert main(["privacy", "--eps", "1000"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "delta = 0\n" and captured.err == ""
+        assert captured.out == "" and captured.err == "usage error: eps = 1000 rounds delta to 0, outside (0, 0.5)\n"
+
+    @pytest.mark.parametrize("eps, delta", [("745.2", "0"), ("1e-17", "0.5"), ("1e-320", "0.5")])
+    def test_eps_at_the_ends(self, capsys, eps, delta):
+        assert main(["privacy", "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f" rounds delta to {delta}, outside (0, 0.5)\n")
+
+    @pytest.mark.parametrize("eps, out", [("745", "delta = 4.94065645841e-324\n"), ("1e-15", "delta = 0.5\n")])
+    def test_eps_near_the_ends(self, capsys, eps, out):
+        # the float delta is still inside (0, 1/2), even where 12 digits print 0.5
+        assert main(["privacy", "--eps", eps]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestDeterminism:
@@ -309,7 +365,8 @@ class TestParserReuse:
         assert main(["frontier", "--delta", "0.2", "--r-grid", "0.1"]) == 0
         assert main(["verify", "--suite", "identities"]) == 0
         first, frontier, second = seen
-        assert (frontier.suite, frontier.b, frontier.regime, frontier.r_grid) == (None, 0.0, "asymptotic", [0.1])
+        assert "suite" not in vars(frontier)
+        assert (frontier.b, frontier.regime, frontier.r_grid) == (0.0, "asymptotic", [0.1])
         assert (second.suite, second.delta, second.b) == ("identities", 0.1, 0.0)
         assert second.r_grid == parse_grid("0.05:0.35:0.05") and second.r_grid is not first.r_grid
         assert cli._build_parser() is cli._build_parser()

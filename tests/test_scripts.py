@@ -76,9 +76,9 @@ def test_benchmark_self_test():
     assert "self-test passed" in proc.stdout
 
 
-@pytest.mark.parametrize("workload", ["rule-analysis", "dense-audit"])
+@pytest.mark.parametrize("workload", ["finite-calibration", "rule-analysis", "dense-audit"])
 def test_benchmark_smoke(workload):
-    # one traced second of each workload that calls the Monte Carlo sampler: every job's check must pass
+    # one traced second of each workload: every job's check must pass
     proc = subprocess.run([sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload", workload, "--seed", "1",
                            "--seconds", "1", "--trace", "1"], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
