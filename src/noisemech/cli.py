@@ -181,17 +181,15 @@ def _cmd_analyze(cfg: argparse.Namespace) -> int:
     alt = "imperfect-knowledge" if cfg.setting == "noisy-report" else "noisy-report"
     params_alt = mechanism.MechanismParams(f.n, cfg.delta, cfg.b, alt)
     mean, efnu = f.mean(), f.mean_nu()
-    kind = "dense" if isinstance(f, hypercube.DenseFunction) else "anonymous"
+    dense = isinstance(f, hypercube.DenseFunction)
+    kind = "dense" if dense else "anonymous"
     lines = [f"kind = {kind}", f"n = {f.n}", f"mean = {_fmt(mean)}", f"degree1_sum = {_fmt(efnu)}"]
     mono = hypercube.monotonicity_check(f, "monotone")
     marg = hypercube.monotonicity_check(f, "marginally-monotone")
     lines.append(f"monotone = {str(mono).lower()}")
     lines.append(f"marginally_monotone = {str(marg).lower()}")
-    dense_view = f if isinstance(f, hypercube.DenseFunction) else None
-    if dense_view is None and f.n <= hypercube.MAX_DENSE_N:
-        dense_view = f.to_dense()
-    if dense_view is not None:  # one transform serves the spectral lines and the dense stability and NS
-        spectrum = hypercube.fourier_transform(dense_view)
+    if f.n <= hypercube.MAX_DENSE_N:  # a dense rule's cached transform also serves its stability and NS
+        spectrum = hypercube.fourier_transform(f if dense else f.to_dense())
         lines.append("spectral_weight_by_degree = " + ",".join(_fmt(v) for v in spectrum.weight_by_degree()))
         lines.append("influences = " + ",".join(_fmt(v) for v in spectrum.influences()))
     revenue = params.revenue_index(mean, efnu)
@@ -202,11 +200,10 @@ def _cmd_analyze(cfg: argparse.Namespace) -> int:
     lines.append(f"surplus = {_fmt(surplus)}")
     lines.append(f"surplus_per_capita = {_fmt(surplus / f.n)}")
     if f.is_boolean:
-        exact_ok = isinstance(f, hypercube.DenseFunction) or f.n <= noise.MAX_EXACT_COUNT_N
+        exact_ok = dense or f.n <= noise.MAX_EXACT_COUNT_N
         if exact_ok:
-            if isinstance(f, hypercube.DenseFunction):
-                stab = spectrum.stability(1.0 - 2.0 * cfg.delta)
-                ns_value = hypercube.spectral_sensitivity(spectrum.coeffs, cfg.delta)
+            if dense:
+                stab, ns_value = noise.stability_exact(f, cfg.delta), noise.sensitivity_exact(f, cfg.delta)
             else:  # one joint-law build serves both lines
                 law = noise.joint_count_distribution(f.n, cfg.delta)
                 stab, ns_value = law.stability(f.g), law.sensitivity(f.g)

@@ -168,7 +168,7 @@ class FourierSpectrum:
 
     def stability(self, rho: float) -> float:
         """sum_S rho^|S| coeffs[S]^2 = E[f(x) f(y)] for rho-correlated x and y."""
-        return float(np.dot(rho ** popcounts(self.n).astype(np.float64), self.coeffs**2))
+        return float((rho ** popcounts(self.n) * self.coeffs**2).sum())  # pairwise: np.dot errs 1e-12 at n = 24
 
 
 def spectral_sensitivity(coeffs: np.ndarray, delta: float):
@@ -220,9 +220,9 @@ class AnonymousFunction:
         nu = 2.0 * np.arange(self.n + 1) - self.n
         return float(np.dot(self.g * nu, binomial_weights(self.n)))
 
-    def degree1(self) -> float:
-        """Common degree-1 coefficient E[f x_i], identical for every i."""
-        return self.mean_nu() / self.n
+    def degree1(self) -> np.ndarray:
+        """E[f(x) x_i] for each coordinate i, the same for every i."""
+        return np.full(self.n, self.mean_nu() / self.n)
 
     def to_dense(self) -> DenseFunction:
         if self.n > MAX_DENSE_N:

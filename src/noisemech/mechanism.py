@@ -37,7 +37,6 @@ from .hypercube import (
     monotonicity_check,
     popcounts,
 )
-from .noise import sensitivity_exact
 
 SETTINGS = ("noisy-report", "imperfect-knowledge")
 
@@ -98,15 +97,9 @@ class MechanismParams:
         return 0.5 * self.b * self.n * mean + 0.5 * self.rho * efnu
 
 
-def _stats(f: HypercubeFunction, params: MechanismParams):
-    """(mean, E[f sum x_i], degree-1 coefficients per agent)."""
+def _check_dimension(f: HypercubeFunction, params: MechanismParams) -> None:
     if f.n != params.n:
         raise ValueError(f"function dimension {f.n} does not match params.n = {params.n}")
-    if isinstance(f, AnonymousFunction):
-        efnu = f.mean_nu()
-        return f.mean(), efnu, np.full(params.n, efnu / params.n)
-    d1 = f.degree1()
-    return f.mean(), float(d1.sum()), d1
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +125,8 @@ def interim_marginals(f: HypercubeFunction, params: MechanismParams) -> InterimP
     """Allocation marginals (E[f] - E[f x_i], E[f] + E[f x_i]) per agent."""
     if not f.is_unit_range:
         raise ValueError("interim marginals are defined for unit-range allocation rules")
-    mean, _, d1 = _stats(f, params)
+    _check_dimension(f, params)
+    mean, d1 = f.mean(), f.degree1()
     return InterimProfile(mean - d1, mean + d1)
 
 
@@ -144,10 +138,10 @@ def revenue(f: HypercubeFunction, params: MechanismParams) -> float:
     on revenue accounting in the module docstring). Evaluates regardless of
     implementability but warns when marginal monotonicity fails.
     """
-    mean, efnu, _ = _stats(f, params)
+    _check_dimension(f, params)
     if not monotonicity_check(f, "marginally-monotone"):
         warnings.warn("revenue evaluated for a rule that is not marginally monotone", stacklevel=2)
-    return params.revenue_index(mean, efnu)
+    return params.revenue_index(f.mean(), f.mean_nu())
 
 
 def revenue_normalized(f: HypercubeFunction, params: MechanismParams) -> float:
@@ -163,22 +157,18 @@ def surplus(f: HypercubeFunction, params: MechanismParams) -> float:
     """
     if not f.is_unit_range:
         raise ValueError("surplus is defined for unit-range allocation rules")
-    mean, efnu, _ = _stats(f, params)
-    return params.surplus_index(mean, efnu)
+    _check_dimension(f, params)
+    return params.surplus_index(f.mean(), f.mean_nu())
 
 
-def surplus_distortion_bound(
-    f: HypercubeFunction, params: MechanismParams, ns: Optional[float] = None
-) -> float:
+def surplus_distortion_bound(f: HypercubeFunction, params: MechanismParams, ns: float) -> float:
     """Cauchy-Schwarz cap on E|S(x, f(y)) - S(x, f(x))|.
 
-    sqrt(b^2 n^2 + n)/2 times the square root of the noise sensitivity,
-    computed exactly unless a (e.g. sampled) value is supplied.
+    sqrt(b^2 n^2 + n)/2 times the square root of the noise sensitivity ns,
+    exact or sampled, of f at params.delta.
     """
     if not f.is_boolean:
         raise ValueError("the distortion bound applies to Boolean allocation rules")
-    if ns is None:
-        ns = sensitivity_exact(f, params.delta)
     return 0.5 * math.sqrt(params.b**2 * params.n**2 + params.n) * math.sqrt(ns)
 
 

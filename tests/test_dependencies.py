@@ -51,6 +51,24 @@ def test_layer_order():
     assert upward == []
 
 
+# Each edge of the package import graph; a new edge needs a deliberate entry here
+ALLOWED_PACKAGE_IMPORTS = {
+    "hypercube": set(),
+    "gaussian": set(),
+    "noise": {"hypercube"},
+    "mechanism": {"hypercube"},
+    "optimize": {"gaussian", "hypercube", "mechanism", "noise"},
+    "cli": {"gaussian", "hypercube", "mechanism", "noise", "optimize"},
+}
+
+
+def test_package_imports_follow_the_table():
+    assert set(ALLOWED_PACKAGE_IMPORTS) == set(LAYERS)
+    extra = {name: sorted(_package_imports(PACKAGE / f"{name}.py") - allowed)
+             for name, allowed in ALLOWED_PACKAGE_IMPORTS.items()}
+    assert {name: deps for name, deps in extra.items() if deps} == {}
+
+
 def test_init_imports_nothing():
     # each public name has one import path: the module that defines it
     tree = ast.parse((PACKAGE / "__init__.py").read_text())

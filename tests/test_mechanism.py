@@ -34,6 +34,7 @@ from noisemech.mechanism import (
     surplus,
     surplus_distortion_bound,
 )
+from noisemech.noise import sensitivity_exact
 
 MAJ3 = majority_function(3)
 DICTATOR1 = DenseFunction(1, [0.0, 1.0])
@@ -179,16 +180,17 @@ class TestDistortionBound:
     def test_zero_noise_like(self):
         f = MAJ3
         p = MechanismParams(3, 1e-12, b=0.0)
-        assert surplus_distortion_bound(f, p) <= 1e-5
+        assert surplus_distortion_bound(f, p, sensitivity_exact(f, p.delta)) <= 1e-5
 
     def test_constant(self):
         # sqrt of the ~1e-16 stability rounding noise caps the achievable tolerance
         f = AnonymousFunction(3, np.ones(4))
-        assert surplus_distortion_bound(f, MechanismParams(3, 0.2, b=0.3)) == pytest.approx(0.0, abs=1e-7)
+        p = MechanismParams(3, 0.2, b=0.3)
+        assert surplus_distortion_bound(f, p, sensitivity_exact(f, p.delta)) == pytest.approx(0.0, abs=1e-7)
 
     def test_dictator_bound_holds(self):
         p = MechanismParams(1, 0.09, b=0.0)
-        bound = surplus_distortion_bound(DICTATOR1, p)
+        bound = surplus_distortion_bound(DICTATOR1, p, sensitivity_exact(DICTATOR1, p.delta))
         assert bound == pytest.approx(0.5 * math.sqrt(0.09), abs=1e-12)
         # direct E|S(x, f(y)) - S(x, f(x))|: decision flips w.p. delta, each flip costs 1/2
         direct = 0.09 / 2

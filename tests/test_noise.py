@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisemech import hypercube, optimize
 from noisemech.hypercube import (
+    MAX_DENSE_N,
     AnonymousFunction,
     DenseFunction,
     majority_function,
@@ -58,6 +59,18 @@ def _dp_joint_count_pmf(n, delta):
         nxt[:k, :k] += p_same * src
         cur, nxt = nxt, cur
     return cur
+
+
+def exact_count_law_stability(g, rho):
+    """g' P g under the joint count law at a rational rho, summed in integers over one denominator."""
+    n = len(g) - 1
+    flip = (1 - rho) / 2
+    den, lose = flip.denominator, flip.numerator
+    keep = den - lose
+    # m_x = j, then a of its j ones are kept and b of its n - j minus-ones flip in: m_y = a + b
+    total = sum(math.comb(n, j) * math.comb(j, a) * math.comb(n - j, b) * lose ** (j - a + b) * keep ** (n - j + a - b)
+                for j in range(n + 1) if g[j] for a in range(j + 1) for b in range(n - j + 1) if g[a + b])
+    return Fraction(total, 2**n * den**n)
 
 
 def pair_enumeration_ns(values, n, delta):
@@ -156,6 +169,16 @@ class TestStability:
         with pytest.raises(ValueError):
             stability_exact(DICTATOR, 0.6)
 
+    @pytest.mark.parametrize("theta", [0, -4])
+    def test_dense_is_exact_at_n20(self, theta):
+        # the spectral sum over 2^20 terms against exact rationals at the float rho; np.dot erred 8e-14
+        f = threshold_function(20, theta)
+        exact = exact_count_law_stability(f.g, Fraction(1.0 - 2.0 * 0.1))
+        assert float(abs(Fraction(stability_exact(f.to_dense(), 0.1)) - exact)) <= 1e-15
+
+    def test_exact_reference_on_maj3(self):
+        assert exact_count_law_stability(MAJ3.g, Fraction(4, 5)) == Fraction(54, 125)
+
 
 class TestSensitivity:
     def test_zero_noise(self):
@@ -208,6 +231,37 @@ NS_DELTAS = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.49)
 
 def _relative_error(got, exact):
     return abs(Fraction(got) - exact) / exact if exact else abs(got)
+
+
+class TestLargestDenseSize:
+    """At n = MAX_DENSE_N the dense spectrum of one threshold rule against the count law (685 MB peak)."""
+
+    @pytest.fixture(scope="class")
+    def rule(self):
+        f = threshold_function(MAX_DENSE_N, -4)
+        yield f, f.to_dense()
+        popcounts.cache_clear()  # release the 2^24 popcount table
+
+    def test_stability_matches_the_count_law(self, rule):
+        f, dense = rule
+        assert abs(stability_exact(dense, 0.1) - stability_exact(f, 0.1)) <= 1e-14
+
+    # np.dot over the 2^24 terms of the crossing sum errs 7.1e-13 at delta = 0.37, the law 1e-16 (ROADMAP)
+    @pytest.mark.parametrize("d,bound", [(0.02, 1e-13), (0.1, 1e-13), (0.37, 1e-12)])
+    def test_sensitivity_matches_the_count_law(self, rule, d, bound):
+        f, dense = rule
+        assert abs(sensitivity_exact(dense, d) - sensitivity_exact(f, d)) <= bound
+
+    def test_one_more_coordinate_is_refused_before_any_table(self):
+        n = MAX_DENSE_N + 1
+
+        def refuse():
+            with pytest.raises(ValueError, match="cannot densify"):
+                threshold_function(n, 0).to_dense()
+            with pytest.raises(ValueError, match="dense dimension"):
+                DenseFunction(n, np.zeros(2))
+
+        assert traced_peak(refuse) < 1 << 20  # a 2^25 table takes 256 MiB
 
 
 class TestDenseCrossingSum:
